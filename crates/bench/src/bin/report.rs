@@ -9,7 +9,7 @@
 //!
 //! Subcommands: `table1 table2 fig2 fig3 table3 table4 paths
 //! boolean-vs-generic formats ablations scaling serving stream obs
-//! fusion memory frontier load replication condense all`.
+//! fusion memory load replication condense failover all`.
 //! `obs` additionally writes `BENCH_obs.json` (per-kernel p50/p95 from
 //! the profiling histograms plus the measured tracing overhead).
 //! `fusion` writes `BENCH_fusion.json` (fused vs unfused delta-closure
@@ -23,9 +23,6 @@
 //! fixed budget) and exits non-zero unless blocked storage cuts peak
 //! bytes ≥ 2× vs flat CSR and fits ≥ 1.5× more graphs — the CI
 //! memory-smoke gate.
-//! `frontier` writes `BENCH_frontier.json` (per-source frontier BFS vs
-//! batched product-machine latency across source counts — the sweep
-//! behind the planner's `FRONTIER_MAX_SOURCES` crossover).
 //! `load` writes `BENCH_load.json` (open-loop seeded-Poisson saturation
 //! sweep plus a two-tier QoS rung) and exits non-zero unless a
 //! saturation point is detected, the batch tier bounces before the
@@ -160,7 +157,6 @@ fn main() {
         "obs" => obs(&mut records),
         "fusion" => fusion(&mut records),
         "memory" => memory(&mut records),
-        "frontier" => frontier(&mut records),
         "load" => load(&mut records),
         "replication" => replication(&mut records),
         "condense" => condense(&mut records),
@@ -182,7 +178,6 @@ fn main() {
             obs(&mut records);
             fusion(&mut records);
             memory(&mut records);
-            frontier(&mut records);
             load(&mut records);
             replication(&mut records);
             condense(&mut records);
@@ -190,7 +185,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment: {other}");
-            eprintln!("known: table1 table2 fig2 fig3 table3 table4 paths boolean-vs-generic formats ablations scaling serving stream obs fusion memory frontier load replication condense failover all");
+            eprintln!("known: table1 table2 fig2 fig3 table3 table4 paths boolean-vs-generic formats ablations scaling serving stream obs fusion memory load replication condense failover all");
             std::process::exit(2);
         }
     }
@@ -533,7 +528,7 @@ fn boolean_vs_generic() {
 
 // ---------------------------------------------------------------- E10
 fn ablations() {
-    header("E10 — design-choice ablations (text summary; criterion for stats)");
+    header("E10 — design-choice ablations (text summary)");
     use spbla_data::random::{two_cycles_graph, uniform_row_degree as urd};
     use spbla_graph::cfpq::tensor::{TnsIndex as Tns, TnsOptions as TnsOpt};
     use spbla_graph::closure::{closure_incremental, closure_squaring};
@@ -643,13 +638,13 @@ fn ablations() {
     //    simulated device so launches / allocations / accumulator
     //    insertions are attributable per schedule.
     use spbla_gpu_sim::Device;
-    use spbla_graph::closure::{closure_delta, closure_masked};
+    use spbla_graph::closure::closure_delta;
     let mut ltable = SymbolTable::new();
     let lubm = lubm_rung(2, &mut ltable);
     let lpairs = lubm.adjacency_csr().to_pairs();
     let ln = lubm.n_vertices();
     println!(
-        "7. schedule naive vs masked vs delta closure on LUBM (n={ln}, nnz={}):",
+        "7. schedule naive vs delta closure on LUBM (n={ln}, nnz={}):",
         lpairs.len()
     );
     println!(
@@ -665,9 +660,8 @@ fn ablations() {
         "d2d-bytes"
     );
     type Schedule = fn(&Matrix) -> spbla_core::Result<Matrix>;
-    let schedules: [(&str, Schedule); 3] = [
+    let schedules: [(&str, Schedule); 2] = [
         ("naive_squaring", closure_squaring),
-        ("masked_squaring", closure_masked),
         ("delta_compmask", closure_delta),
     ];
     for (sname, schedule) in schedules {
@@ -761,12 +755,11 @@ fn dev_gauge_max(family: &str, ordinals: &[u64]) -> u64 {
 }
 
 fn serving(records: &mut Vec<JsonRecord>) {
-    header("E12 — serving-layer ablation: same-plan batching × plan cache × grid width");
+    header("E12 — serving layer across grid widths");
     println!("(closed loop: 8 clients, 96 mixed requests on the LUBM fixture, 3/4 of");
-    println!(" them same-plan single-source RPQs; the claims to check are that");
-    println!(" batching cuts kernel launches — one multi-source chain instead of one");
-    println!(" chain per request — and that the plan cache converts per-request");
-    println!(" compilations into hits; neither may change any answer)\n");
+    println!(" them same-plan single-source RPQs; the claims to check are that the");
+    println!(" plan cache converts per-request compilations into hits and that the");
+    println!(" grid width never changes an answer)\n");
     use spbla_engine::{Engine, EngineConfig, Query};
     use spbla_multidev::DeviceGrid;
     use std::sync::Arc;
@@ -776,136 +769,110 @@ fn serving(records: &mut Vec<JsonRecord>) {
     const SRC_Q: &str = "memberOf . subOrganizationOf*";
 
     println!(
-        "{:<8} {:<6} {:<6} {:>8} {:>9} {:>8} {:>11} {:>13} {:>10} {:>5}",
-        "devices",
-        "batch",
-        "cache",
-        "time",
-        "launches",
-        "batches",
-        "plan-h/m",
-        "resid-h/m/e",
-        "req/s",
-        "hwm"
+        "{:<8} {:>8} {:>9} {:>11} {:>13} {:>10} {:>5}",
+        "devices", "time", "launches", "plan-h/m", "resid-h/m/e", "req/s", "hwm"
     );
     let mut checksum: Option<u64> = None;
     for devices in [1usize, 2, 4] {
-        for (batching, plan_cache) in [(true, true), (false, true), (true, false), (false, false)] {
-            let engine = Engine::new(
-                DeviceGrid::new(devices),
-                EngineConfig {
-                    queue_capacity: 1024,
-                    batching,
-                    plan_cache,
-                    ..EngineConfig::default()
+        let engine = Engine::new(
+            DeviceGrid::new(devices),
+            EngineConfig {
+                queue_capacity: 1024,
+                ..EngineConfig::default()
+            },
+        );
+        let graph = engine.with_symbols(|table| lubm_rung(1, table));
+        let n_vertices = graph.n_vertices();
+        engine.add_graph("lubm", graph);
+        let workload: Vec<Query> = (0..REQUESTS)
+            .map(|i| match i % 8 {
+                3 => Query::Rpq("headOf . subOrganizationOf".into()),
+                7 => Query::Cfpq("S -> subOrganizationOf S | subOrganizationOf".into()),
+                _ => Query::RpqFromSource {
+                    text: SRC_Q.into(),
+                    source: (i as u32 * 131) % n_vertices,
                 },
-            );
-            let graph = engine.with_symbols(|table| lubm_rung(1, table));
-            let n_vertices = graph.n_vertices();
-            engine.add_graph("lubm", graph);
-            let workload: Vec<Query> = (0..REQUESTS)
-                .map(|i| match i % 8 {
-                    3 => Query::Rpq("headOf . subOrganizationOf".into()),
-                    7 => Query::Cfpq("S -> subOrganizationOf S | subOrganizationOf".into()),
-                    _ => Query::RpqFromSource {
-                        text: SRC_Q.into(),
-                        source: (i as u32 * 131) % n_vertices,
-                    },
-                })
-                .collect();
-            let engine = Arc::new(engine);
-            let workload = Arc::new(workload);
-            let started = std::time::Instant::now();
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|c| {
-                    let engine = Arc::clone(&engine);
-                    let workload = Arc::clone(&workload);
-                    std::thread::spawn(move || {
-                        let mut answers = 0u64;
-                        for (i, q) in workload.iter().enumerate() {
-                            if i % CLIENTS != c {
-                                continue;
-                            }
-                            let done = engine
-                                .submit("lubm", q.clone())
-                                .expect("queue sized for the workload")
-                                .wait();
-                            match done.result.expect("request completes") {
-                                spbla_engine::QueryResult::Pairs(p) => answers += p.len() as u64,
-                                spbla_engine::QueryResult::Reachable(r) => {
-                                    answers += r.len() as u64
-                                }
-                                spbla_engine::QueryResult::Applied(_) => {
-                                    unreachable!("workload submits no updates")
-                                }
+            })
+            .collect();
+        let engine = Arc::new(engine);
+        let workload = Arc::new(workload);
+        let started = std::time::Instant::now();
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let engine = Arc::clone(&engine);
+                let workload = Arc::clone(&workload);
+                std::thread::spawn(move || {
+                    let mut answers = 0u64;
+                    for (i, q) in workload.iter().enumerate() {
+                        if i % CLIENTS != c {
+                            continue;
+                        }
+                        let done = engine
+                            .submit("lubm", q.clone())
+                            .expect("queue sized for the workload")
+                            .wait();
+                        match done.result.expect("request completes") {
+                            spbla_engine::QueryResult::Pairs(p) => answers += p.len() as u64,
+                            spbla_engine::QueryResult::Reachable(r) => answers += r.len() as u64,
+                            spbla_engine::QueryResult::Applied(_) => {
+                                unreachable!("workload submits no updates")
                             }
                         }
-                        answers
-                    })
+                    }
+                    answers
                 })
-                .collect();
-            let answers: u64 = handles
-                .into_iter()
-                .map(|h| h.join().expect("client ok"))
-                .sum();
-            let wall = started.elapsed();
-            // Every configuration must produce the same answer volume —
-            // the ablations change cost, never results.
-            match checksum {
-                None => checksum = Some(answers),
-                Some(expect) => assert_eq!(answers, expect, "ablation changed answers!"),
-            }
-            let engine = Arc::try_unwrap(engine).unwrap_or_else(|_| unreachable!("clients joined"));
-            // Read everything from the metrics registry: the per-device
-            // counters by ordinal label, the engine counters through the
-            // registry-owned cells `Engine::stats` views.
-            let ordinals = engine.device_ordinals();
-            let launches = dev_counter_sum("spbla_dev_launches_total", &ordinals);
-            let insertions = dev_counter_sum("spbla_dev_accum_insertions_total", &ordinals);
-            let h2d_bytes = dev_counter_sum("spbla_dev_h2d_bytes_total", &ordinals);
-            let d2h_bytes = dev_counter_sum("spbla_dev_d2h_bytes_total", &ordinals);
-            let d2d_bytes = dev_counter_sum("spbla_dev_d2d_bytes_total", &ordinals);
-            let peak_bytes = dev_gauge_max("spbla_dev_peak_bytes", &ordinals);
-            let stats = engine.shutdown();
-            println!(
-                "{:<8} {:<6} {:<6} {:>7}s {:>9} {:>8} {:>11} {:>13} {:>10.1} {:>5}",
-                devices,
-                if batching { "on" } else { "off" },
-                if plan_cache { "on" } else { "off" },
-                secs(wall),
-                launches,
-                stats.batches,
-                format!("{}/{}", stats.plan_hits, stats.plan_misses),
-                format!(
-                    "{}/{}/{}",
-                    stats.residency_hits, stats.residency_misses, stats.residency_evictions
-                ),
-                REQUESTS as f64 / wall.as_secs_f64().max(1e-9),
-                stats.queue_depth_hwm,
-            );
-            records.push(JsonRecord {
-                experiment: "serving".into(),
-                config: vec![
-                    ("devices".into(), devices.to_string()),
-                    ("batching".into(), batching.to_string()),
-                    ("plan_cache".into(), plan_cache.to_string()),
-                    ("batches".into(), stats.batches.to_string()),
-                    (
-                        "batched_requests".into(),
-                        stats.batched_requests.to_string(),
-                    ),
-                    ("plan_hits".into(), stats.plan_hits.to_string()),
-                    ("plan_misses".into(), stats.plan_misses.to_string()),
-                    ("queue_depth_hwm".into(), stats.queue_depth_hwm.to_string()),
-                ],
-                launches,
-                insertions,
-                h2d_bytes,
-                d2h_bytes,
-                d2d_bytes,
-                peak_bytes: peak_bytes as usize,
-            });
+            })
+            .collect();
+        let answers: u64 = handles
+            .into_iter()
+            .map(|h| h.join().expect("client ok"))
+            .sum();
+        let wall = started.elapsed();
+        // Every grid width must produce the same answer volume.
+        match checksum {
+            None => checksum = Some(answers),
+            Some(expect) => assert_eq!(answers, expect, "grid width changed answers!"),
         }
+        let engine = Arc::try_unwrap(engine).unwrap_or_else(|_| unreachable!("clients joined"));
+        // Read everything from the metrics registry: the per-device
+        // counters by ordinal label, the engine counters through the
+        // registry-owned cells `Engine::stats` views.
+        let ordinals = engine.device_ordinals();
+        let launches = dev_counter_sum("spbla_dev_launches_total", &ordinals);
+        let insertions = dev_counter_sum("spbla_dev_accum_insertions_total", &ordinals);
+        let h2d_bytes = dev_counter_sum("spbla_dev_h2d_bytes_total", &ordinals);
+        let d2h_bytes = dev_counter_sum("spbla_dev_d2h_bytes_total", &ordinals);
+        let d2d_bytes = dev_counter_sum("spbla_dev_d2d_bytes_total", &ordinals);
+        let peak_bytes = dev_gauge_max("spbla_dev_peak_bytes", &ordinals);
+        let stats = engine.shutdown();
+        println!(
+            "{:<8} {:>7}s {:>9} {:>11} {:>13} {:>10.1} {:>5}",
+            devices,
+            secs(wall),
+            launches,
+            format!("{}/{}", stats.plan_hits, stats.plan_misses),
+            format!(
+                "{}/{}/{}",
+                stats.residency_hits, stats.residency_misses, stats.residency_evictions
+            ),
+            REQUESTS as f64 / wall.as_secs_f64().max(1e-9),
+            stats.queue_depth_hwm,
+        );
+        records.push(JsonRecord {
+            experiment: "serving".into(),
+            config: vec![
+                ("devices".into(), devices.to_string()),
+                ("plan_hits".into(), stats.plan_hits.to_string()),
+                ("plan_misses".into(), stats.plan_misses.to_string()),
+                ("queue_depth_hwm".into(), stats.queue_depth_hwm.to_string()),
+            ],
+            launches,
+            insertions,
+            h2d_bytes,
+            d2h_bytes,
+            d2d_bytes,
+            peak_bytes: peak_bytes as usize,
+        });
     }
 }
 
@@ -914,8 +881,8 @@ fn stream(records: &mut Vec<JsonRecord>) {
     header("E13 — streaming updates: incremental closure maintenance vs per-batch recompute");
     println!("(LUBM base with a deep citation thread; a stream of single-triple insert");
     println!(" batches then small delete batches, replayed identically through the");
-    println!(" incremental view — frontier restart for inserts, DRed over-delete and");
-    println!(" rederive for deletes — and through a per-batch full recompute; the claims");
+    println!(" incremental view — frontier restart for inserts, one recompute for a");
+    println!(" batch that deletes — and through a per-batch full recompute; the claims");
     println!(" to check are bit-identical checksums at every version and, over the");
     println!(" insert phase, incremental maintenance paying ≤ 1/3 of recompute's kernel");
     println!(" launches AND accumulator insertions)\n");
@@ -991,8 +958,8 @@ fn stream(records: &mut Vec<JsonRecord>) {
     }
 
     println!(
-        "{:<8} {:<12} {:>9} {:>13} {:>11} {:>13} {:>9}",
-        "devices", "mode", "time", "ins-launches", "ins-accum", "total-accum", "peak-B"
+        "{:<8} {:<12} {:>9} {:>13} {:>11} {:>9}",
+        "devices", "mode", "time", "ins-launches", "ins-accum", "peak-B"
     );
     for devices in [1usize, 2, 4] {
         // (per-version checksums, insert-phase Δstats, total Δstats, peak)
@@ -1041,8 +1008,7 @@ fn stream(records: &mut Vec<JsonRecord>) {
         let (cs_inc, t_inc, ins_inc, tot_inc, peak_inc) = run(MaintainMode::Incremental);
         let (cs_rec, t_rec, ins_rec, tot_rec, peak_rec) = run(MaintainMode::Recompute);
 
-        // Bit-identical results at every version, delete batches included
-        // (DRed rederivation must agree with recompute exactly).
+        // Bit-identical results at every version, delete batches included.
         assert_eq!(
             cs_inc, cs_rec,
             "incremental maintenance diverged from recompute on {devices} devices"
@@ -1065,13 +1031,12 @@ fn stream(records: &mut Vec<JsonRecord>) {
             ("recompute", t_rec, ins_rec, tot_rec, peak_rec),
         ] {
             println!(
-                "{:<8} {:<12} {:>8}s {:>13} {:>11} {:>13} {:>9}",
+                "{:<8} {:<12} {:>8}s {:>13} {:>11} {:>9}",
                 devices,
                 mode,
                 secs(t),
                 ins.0,
                 ins.1,
-                tot.1,
                 peak
             );
             records.push(JsonRecord {
@@ -1233,9 +1198,10 @@ fn fusion(records: &mut Vec<JsonRecord>) {
     println!(" kernels than the unfused mxm_compmask + ewise_add + nnz loop, never");
     println!(" materialises the intermediate product, and the gathered closure is");
     println!(" bit-identical on 1/2/4-device grids; push/pull decisions are counted)\n");
-    use spbla_graph::closure::{closure_delta, closure_delta_on_devices};
+    use spbla_graph::closure::{closure_delta, closure_delta_dist};
     use spbla_graph::rpq_bfs::rpq_from_sources;
     use spbla_lang::Regex;
+    use spbla_multidev::DeviceGrid;
 
     let mut table = SymbolTable::new();
     let g = lubm_rung(2, &mut table);
@@ -1337,7 +1303,7 @@ fn fusion(records: &mut Vec<JsonRecord>) {
     let reference_sum = fnv(&reference);
     let mut grid_sums: Vec<(usize, u64)> = Vec::new();
     for devices in [1usize, 2, 4] {
-        let (closed, _grid) = closure_delta_on_devices(&adj, devices).expect("dist closure");
+        let closed = closure_delta_dist(&adj, &DeviceGrid::new(devices)).expect("dist closure");
         let sum = fnv(&closed.to_pairs());
         assert_eq!(
             closed.to_pairs(),
@@ -1638,133 +1604,6 @@ fn memory(records: &mut Vec<JsonRecord>) {
     println!(
         "memory gates passed: peak {reduction_csr:.2}x >= 2.0, residency {residency_gain:.2}x >= 1.5"
     );
-}
-
-// ---------------------------------------------------------------- E16
-fn frontier(records: &mut Vec<JsonRecord>) {
-    header("FRONTIER — per-source frontier BFS vs batched product machine (crossover sweep)");
-    println!("(the measurement behind the planner's FRONTIER_MAX_SOURCES: below the");
-    println!(" crossover a batch answers faster as one sparse-vector frontier chase");
-    println!(" per source; above it the b x n product machine amortises its");
-    println!(" per-round launch chain; answers are bit-identical either way)\n");
-    use spbla_graph::rpq_batch::rpq_from_each_source_mats;
-    use spbla_graph::rpq_bfs::rpq_from_sources_mats;
-    use spbla_lang::glushkov::glushkov;
-    use spbla_lang::Regex;
-
-    let mut table = SymbolTable::new();
-    let g = lubm_rung(10, &mut table);
-    let n = g.n_vertices();
-    let query = Regex::parse("memberOf . subOrganizationOf*", &mut table).expect("query parses");
-    let nfa = glushkov(&query);
-    let inst = Instance::cuda_sim();
-    let mats = g.matrices(&inst).expect("labels upload");
-    println!(
-        "LUBM fixture: n={n}, nnz={}; query memberOf . subOrganizationOf*\n",
-        g.n_edges()
-    );
-
-    // Single-request latencies sit in the tens of microseconds; average
-    // over far more runs than the seconds-scale experiments need.
-    let runs = RUNS.max(30);
-    println!(
-        "{:<8} {:>12} {:>12} {:>8}  winner",
-        "sources", "frontier-us", "machine-us", "ratio"
-    );
-    let mut sweep: Vec<(usize, f64, f64)> = Vec::new();
-    let mut crossover: Option<usize> = None;
-    for &k in &[1usize, 2, 3, 4, 6, 8, 12, 16, 24] {
-        let sources: Vec<u32> = (0..k).map(|i| (i as u32 * 131) % n).collect();
-        // Bit-identity first: both paths must answer each source the same.
-        let per_source: Vec<Vec<u32>> = sources
-            .iter()
-            .map(|&s| rpq_from_sources_mats(&mats, n, &nfa, &[s], &inst).expect("frontier"))
-            .collect();
-        let batched = rpq_from_each_source_mats(&mats, n, &nfa, &sources, &inst).expect("machine");
-        assert_eq!(per_source, batched, "paths diverge at {k} sources");
-        let t_frontier = time_avg(runs, || {
-            for &s in &sources {
-                std::hint::black_box(
-                    rpq_from_sources_mats(&mats, n, &nfa, &[s], &inst)
-                        .expect("frontier")
-                        .len(),
-                );
-            }
-        });
-        let t_machine = time_avg(runs, || {
-            std::hint::black_box(
-                rpq_from_each_source_mats(&mats, n, &nfa, &sources, &inst)
-                    .expect("machine")
-                    .len(),
-            );
-        });
-        let (fs, ms) = (t_frontier.as_secs_f64(), t_machine.as_secs_f64());
-        println!(
-            "{:<8} {:>12.1} {:>12.1} {:>8.2}  {}",
-            k,
-            fs * 1e6,
-            ms * 1e6,
-            ms / fs.max(1e-12),
-            if fs <= ms { "frontier" } else { "machine" }
-        );
-        if fs > ms && crossover.is_none() {
-            crossover = Some(k);
-        }
-        sweep.push((k, fs, ms));
-    }
-    // The recommended constant: the largest swept batch size still won
-    // by the frontier path — i.e. one below the first machine win.
-    let recommend = match crossover {
-        Some(k) => sweep
-            .iter()
-            .map(|&(b, _, _)| b)
-            .take_while(|&b| b < k)
-            .last()
-            .unwrap_or(1),
-        None => sweep.last().map(|&(b, _, _)| b).unwrap_or(1),
-    };
-    println!(
-        "\nfirst machine win at {} sources -> FRONTIER_MAX_SOURCES = {recommend}",
-        crossover.map_or("never".into(), |k| k.to_string())
-    );
-
-    let rows = sweep
-        .iter()
-        .map(|(k, fs, ms)| {
-            format!(r#"    {{"sources": {k}, "frontier_s": {fs:.6}, "machine_s": {ms:.6}}}"#)
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"graph\": \"LUBM\", \"n\": {n}, \"nnz\": {},\n  \
-         \"query\": \"memberOf . subOrganizationOf*\",\n  \
-         \"sweep\": [\n{rows}\n  ],\n  \
-         \"crossover_sources\": {},\n  \"frontier_max_sources\": {recommend}\n}}\n",
-        g.n_edges(),
-        crossover.map_or("null".into(), |k| k.to_string()),
-    );
-    std::fs::write("BENCH_frontier.json", json).unwrap_or_else(|e| {
-        eprintln!("cannot write BENCH_frontier.json: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote BENCH_frontier.json");
-
-    records.push(JsonRecord {
-        experiment: "frontier".into(),
-        config: vec![
-            (
-                "crossover_sources".into(),
-                crossover.map_or("never".into(), |k| k.to_string()),
-            ),
-            ("frontier_max_sources".into(), recommend.to_string()),
-        ],
-        launches: 0,
-        insertions: 0,
-        h2d_bytes: 0,
-        d2h_bytes: 0,
-        d2d_bytes: 0,
-        peak_bytes: 0,
-    });
 }
 
 // ---------------------------------------------------------------- E9
@@ -2247,7 +2086,8 @@ fn condense(records: &mut Vec<JsonRecord>) {
     println!(" delta closure on an SCC-heavy graph, answers bit-identically on");
     println!(" 1/2/4-device grids, and incremental SCC maintenance under an");
     println!(" insert/delete stream matches per-version recompute exactly)\n");
-    use spbla_graph::closure::{closure_delta, closure_delta_on_devices};
+    use spbla_graph::closure::{closure_delta, closure_delta_dist};
+    use spbla_multidev::DeviceGrid;
     use spbla_prep::condensed_closure;
     use spbla_stream::{MaintainMode, SccView};
 
@@ -2352,7 +2192,7 @@ fn condense(records: &mut Vec<JsonRecord>) {
     let adj = CsrBool::from_pairs(n, n, &pairs).expect("csr");
     let mut grid_sums: Vec<(usize, u64)> = Vec::new();
     for devices in [1usize, 2, 4] {
-        let (closed, _grid) = closure_delta_on_devices(&adj, devices).expect("dist closure");
+        let closed = closure_delta_dist(&adj, &DeviceGrid::new(devices)).expect("dist closure");
         let sum = fnv_pairs(&closed.to_pairs());
         assert_eq!(
             sum, reference_sum,

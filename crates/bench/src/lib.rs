@@ -1,7 +1,6 @@
 //! Shared harness for the paper-reproduction benchmarks: scaled dataset
-//! suite, timing helpers, and table formatting used by both the
-//! `report` binary (regenerates every table/figure) and the Criterion
-//! benches.
+//! suite, timing helpers, and table formatting used by the `report`
+//! binary (regenerates every table/figure).
 
 use std::time::{Duration, Instant};
 
@@ -135,15 +134,6 @@ pub fn upload(inst: &Instance, n: u32, pairs: &[(u32, u32)]) -> Matrix {
     Matrix::from_pairs(inst, n, n, pairs).expect("bench pairs in bounds")
 }
 
-/// Naive COO-style addition baseline for the merge-path ablation:
-/// concatenate, sort, dedup — no merge path, no two-pass counting.
-pub fn naive_add_baseline(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let mut all: Vec<(u32, u32)> = a.iter().chain(b).copied().collect();
-    all.sort_unstable();
-    all.dedup();
-    all
-}
-
 /// Format a duration as seconds with 3 decimals (paper style).
 pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
@@ -167,13 +157,6 @@ mod tests {
         let alias = alias_suite(&mut t, 0.2);
         assert_eq!(alias.len(), 4);
         assert!(t.get("d_r").is_some());
-    }
-
-    #[test]
-    fn naive_add_matches_set_union() {
-        let a = vec![(0, 1), (2, 3)];
-        let b = vec![(0, 1), (1, 1)];
-        assert_eq!(naive_add_baseline(&a, &b), vec![(0, 1), (1, 1), (2, 3)]);
     }
 
     #[test]

@@ -113,8 +113,8 @@ typedef struct spbla_EngineStats {
     uint64_t residency_misses;
     uint64_t residency_evictions;
     uint64_t queue_depth_hwm;     /* admission-queue high-water mark   */
-    uint64_t batches;             /* coalesced multi-source executions */
-    uint64_t batched_requests;
+    uint64_t batches;             /* always 0: layout kept, never coalesced */
+    uint64_t batched_requests;    /* always 0                          */
     uint64_t launches;            /* kernel launches over all devices  */
 } spbla_EngineStats;
 

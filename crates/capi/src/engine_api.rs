@@ -50,9 +50,9 @@ pub struct SpblaEngineStats {
     pub residency_evictions: u64,
     /// High-water mark of the admission-queue depth.
     pub queue_depth_hwm: u64,
-    /// Coalesced multi-source executions.
+    /// Always 0: requests are never coalesced (published layout).
     pub batches: u64,
-    /// Requests served inside those coalesced executions.
+    /// Always 0: requests are never coalesced (published layout).
     pub batched_requests: u64,
     /// Kernel launches summed over every device.
     pub launches: u64,
@@ -538,9 +538,20 @@ mod tests {
         std::ffi::CString::new(s).unwrap()
     }
 
+    /// A temp path no other test (thread or process) shares: tests run
+    /// on parallel threads and each removes its files on exit.
+    fn temp_path(stem: &str, ext: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        std::env::temp_dir().join(format!(
+            "spbla_capi_{stem}_{}_{}{ext}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
+
     fn temp_graph() -> std::path::PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("spbla_capi_engine_{}.triples", std::process::id()));
+        let path = temp_path("engine", ".triples");
         std::fs::write(&path, "# vertices 4\n0 a 1\n1 a 2\n2 a 3\n").unwrap();
         path
     }
@@ -745,10 +756,7 @@ mod tests {
         let path = temp_graph();
         // A long chain whose closure keeps the single worker busy while
         // queued requests get cancelled / expire.
-        let big = std::env::temp_dir().join(format!(
-            "spbla_capi_engine_big_{}.triples",
-            std::process::id()
-        ));
+        let big = temp_path("engine_big", ".triples");
         let mut triples = String::from("# vertices 200\n");
         for i in 0..199 {
             triples.push_str(&format!("{i} a {}\n", i + 1));
@@ -853,7 +861,7 @@ mod tests {
         use spbla_lang::SymbolTable;
 
         // Build a durability directory: a 4-chain plus two logged batches.
-        let dir = std::env::temp_dir().join(format!("spbla_capi_wal_{}", std::process::id()));
+        let dir = temp_path("wal", "");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let mut table = SymbolTable::new();

@@ -153,7 +153,7 @@ pub const USAGE: &str = "usage: spbla <command>\n\
   triangles  <graph.triples>   (symmetrises, counts triangles)\n\
   components <graph.triples>   (weak + strong component counts)\n\
   engine   [graph.triples] [--devices N] [--clients C] [--requests R] [--seed S]\n\
-           [--queue CAP] [--batching on|off] [--plan-cache on|off] [--deadline-ms MS]\n\
+           [--queue CAP] [--deadline-ms MS]\n\
            (closed-loop mixed RPQ/CFPQ serving; generates a LUBM fixture if no graph given)\n\
   stream   [graph.triples] [--devices N] [--batches B] [--batch-size K] [--deletes on|off]\n\
            [--seed S] [--mode incremental|recompute|both] [--wal DIR]\n\
@@ -506,8 +506,6 @@ fn cmd_engine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let requests: usize = opt_parse(args, "requests", 64)?;
     let seed: u64 = opt_parse(args, "seed", 1)?;
     let queue_capacity: usize = opt_parse(args, "queue", 256)?;
-    let batching = opt_on_off(args, "batching", true)?;
-    let plan_cache = opt_on_off(args, "plan-cache", true)?;
     let deadline = args
         .opt("deadline-ms")
         .map(|v| {
@@ -521,8 +519,6 @@ fn cmd_engine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         spbla_multidev::DeviceGrid::new(devices),
         EngineConfig {
             queue_capacity,
-            plan_cache,
-            batching,
             ..EngineConfig::default()
         },
     );
@@ -551,8 +547,8 @@ fn cmd_engine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     })?;
     engine.add_graph("g", graph);
 
-    // Mixed closed-loop workload: mostly batchable single-source RPQs,
-    // with all-pairs RPQ and CFPQ requests sprinkled in.
+    // Mixed closed-loop workload: mostly single-source RPQs, with
+    // all-pairs RPQ and CFPQ requests sprinkled in.
     let mut rng = seed | 1;
     let mut next = move || {
         rng ^= rng << 13;
@@ -664,8 +660,8 @@ fn cmd_engine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let launches: u64 = stats.devices.iter().map(|d| d.launches).sum();
     writeln!(
         out,
-        "  queue depth high-water {}, batches {} ({} requests coalesced), {} kernel launches",
-        stats.queue_depth_hwm, stats.batches, stats.batched_requests, launches
+        "  queue depth high-water {}, {} kernel launches",
+        stats.queue_depth_hwm, launches
     )?;
     Ok(())
 }
@@ -883,9 +879,9 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some((_, launches, stats)) = &incremental {
         writeln!(
             out,
-            "  incremental: {launches} launches ({} insert batches, {} DRed batches, \
-             {} fallbacks, {} recomputes)",
-            stats.incremental_inserts, stats.dred_deletes, stats.fallbacks, stats.recomputes
+            "  incremental: {launches} launches ({} insert batches, {} fallbacks, \
+             {} recomputes)",
+            stats.incremental_inserts, stats.fallbacks, stats.recomputes
         )?;
     }
     if let Some((_, launches, stats)) = &recompute {
@@ -1116,17 +1112,27 @@ mod tests {
         Ok(String::from_utf8(out).unwrap())
     }
 
+    /// A temp path no other test (thread or process) shares: tests run
+    /// on parallel threads and each removes its files on exit.
+    fn temp_path(stem: &str, ext: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        std::env::temp_dir().join(format!(
+            "spbla_cli_{stem}_{}_{}{ext}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
+
     fn temp_graph() -> std::path::PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("spbla_cli_test_{}.triples", std::process::id()));
+        let path = temp_path("test", ".triples");
         std::fs::write(&path, "# vertices 4\n0 a 1\n1 a 2\n2 b 3\n").unwrap();
         path
     }
 
     #[test]
     fn generate_then_stats_roundtrip() {
-        let out_path =
-            std::env::temp_dir().join(format!("spbla_cli_gen_{}.triples", std::process::id()));
+        let out_path = temp_path("gen", ".triples");
         let msg = run_str(&[
             "generate",
             "enzyme",
@@ -1158,7 +1164,7 @@ mod tests {
         let path = temp_graph();
         let p = path.to_str().unwrap();
         // a^n b^n style grammar from a file.
-        let gpath = std::env::temp_dir().join(format!("spbla_cli_g_{}.cfg", std::process::id()));
+        let gpath = temp_path("g", ".cfg");
         std::fs::write(&gpath, "S -> a S b | a b\n").unwrap();
         for engine in ["tns", "mtx"] {
             let out = run_str(&["cfpq", p, gpath.to_str().unwrap(), "--engine", engine]).unwrap();
@@ -1170,9 +1176,7 @@ mod tests {
 
     #[test]
     fn load_open_loop_reports_both_tiers() {
-        let path =
-            std::env::temp_dir().join(format!("spbla_cli_load_{}.triples", std::process::id()));
-        std::fs::write(&path, "# vertices 4\n0 a 1\n1 a 2\n2 b 3\n").unwrap();
+        let path = temp_graph();
         let out = run_str(&[
             "load",
             path.to_str().unwrap(),
@@ -1196,10 +1200,8 @@ mod tests {
 
     #[test]
     fn stream_wal_then_recover_round_trips() {
-        let path =
-            std::env::temp_dir().join(format!("spbla_cli_wal_{}.triples", std::process::id()));
-        std::fs::write(&path, "# vertices 4\n0 a 1\n1 a 2\n2 b 3\n").unwrap();
-        let dir = std::env::temp_dir().join(format!("spbla_cli_wal_{}", std::process::id()));
+        let path = temp_graph();
+        let dir = temp_path("wal", "");
         let _ = std::fs::remove_dir_all(&dir);
         let streamed = run_str(&[
             "stream",
@@ -1258,6 +1260,12 @@ mod tests {
                 .code,
             2
         );
+        assert_eq!(
+            run_str(&["closure", p, "--condense", "maybe"])
+                .unwrap_err()
+                .code,
+            2
+        );
         let b = run_str(&["bfs", p, "0"]).unwrap();
         assert!(b.contains("reached 4 vertices, eccentricity 3"), "{b}");
         std::fs::remove_file(&path).ok();
@@ -1301,24 +1309,6 @@ mod tests {
         assert!(out.contains("completed 8, errors 0"), "{out}");
         assert!(out.contains("plan cache"), "{out}");
         assert!(out.contains("queue depth high-water"), "{out}");
-        // Ablation flags parse and still serve everything.
-        let ablated = run_str(&[
-            "engine",
-            p,
-            "--devices",
-            "1",
-            "--clients",
-            "2",
-            "--requests",
-            "6",
-            "--batching",
-            "off",
-            "--plan-cache",
-            "off",
-        ])
-        .unwrap();
-        assert!(ablated.contains("completed 6, errors 0"), "{ablated}");
-        assert!(ablated.contains("batches 0"), "{ablated}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1332,12 +1322,6 @@ mod tests {
         );
         assert_eq!(
             run_str(&["engine", p, "--clients", "0"]).unwrap_err().code,
-            2
-        );
-        assert_eq!(
-            run_str(&["engine", p, "--batching", "maybe"])
-                .unwrap_err()
-                .code,
             2
         );
         assert_eq!(
@@ -1401,8 +1385,7 @@ mod tests {
     fn trace_writes_chrome_json_and_cross_checks_launches() {
         let path = temp_graph();
         let p = path.to_str().unwrap();
-        let trace_path =
-            std::env::temp_dir().join(format!("spbla_cli_trace_{}.json", std::process::id()));
+        let trace_path = temp_path("trace", ".json");
         let out = run_str(&["trace", p, "--out", trace_path.to_str().unwrap()]).unwrap();
         assert!(out.contains("kernel spans"), "{out}");
         let json = std::fs::read_to_string(&trace_path).unwrap();

@@ -11,13 +11,9 @@
 //! token between kernel launches and unwind with a typed error, buffer
 //! RAII releasing device memory on the way out.
 //!
-//! Same-plan batching: when a worker dequeues a deadline-less
-//! single-source RPQ, it sweeps the queue for other deadline-less
-//! single-source RPQs on the *same graph and same canonical plan key*
-//! and runs them as one multi-source batch
-//! ([`spbla_graph::rpq_batch::rpq_from_each_source_mats`]) — one
-//! kernel-launch chain instead of one per request, with per-source
-//! provenance keeping every client's answer its own.
+//! A worker pops one request and runs it: every request arms its own
+//! token and owns the device counters between its dequeue and its
+//! completion, so per-request launch and byte deltas are additive.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -29,7 +25,7 @@ use spbla_core::Instance;
 use spbla_gpu_sim::{DeviceStats, StopToken};
 use spbla_graph::cfpq::azimov::{AzimovIndex, AzimovOptions};
 use spbla_graph::closure::closure_delta;
-use spbla_graph::rpq_batch::{rpq_all_pairs_mats, rpq_from_each_source_mats};
+use spbla_graph::rpq::rpq_pairs_from_mats;
 use spbla_graph::rpq_bfs::rpq_from_sources_mats;
 use spbla_graph::LabeledGraph;
 use spbla_lang::SymbolTable;
@@ -39,7 +35,7 @@ use spbla_stream::UpdateBatch;
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::planner::{Plan, PlanKind, Planner, FRONTIER_MAX_SOURCES};
+use crate::planner::{Plan, PlanKind, Planner};
 
 /// Admission tier of a request: where it bounces off the bounded queue
 /// and which rejection counter it lands in.
@@ -67,7 +63,7 @@ impl QosTier {
     }
 }
 
-/// Engine construction knobs; the defaults serve, the flags ablate.
+/// Engine construction knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Bounded admission-queue capacity; a full queue rejects
@@ -80,12 +76,6 @@ pub struct EngineConfig {
     /// Per-device catalog residency budget in bytes. `None` defaults to
     /// half the smallest device's memory capacity.
     pub residency_budget: Option<usize>,
-    /// Memoise plans under their canonical key (E12 ablation flag).
-    pub plan_cache: bool,
-    /// Coalesce queued same-plan single-source RPQs (E12 ablation flag).
-    pub batching: bool,
-    /// Largest multi-source batch one dequeue may coalesce.
-    pub max_batch: usize,
 }
 
 impl Default for EngineConfig {
@@ -94,9 +84,6 @@ impl Default for EngineConfig {
             queue_capacity: 256,
             batch_admission_fraction: 0.75,
             residency_budget: None,
-            plan_cache: true,
-            batching: true,
-            max_batch: 32,
         }
     }
 }
@@ -106,8 +93,7 @@ impl Default for EngineConfig {
 pub enum Query {
     /// All-pairs RPQ: every `(u, v)` connected by a word of the regex.
     Rpq(String),
-    /// Single-source RPQ: vertices reachable from `source`. The form
-    /// the scheduler batches.
+    /// Single-source RPQ: vertices reachable from `source`.
     RpqFromSource {
         /// Regex text.
         text: String,
@@ -150,14 +136,10 @@ pub struct RequestMetrics {
     pub queue_wait: Duration,
     /// Submit → completion.
     pub latency: Duration,
-    /// Kernel launches this request's execution performed (for a
-    /// coalesced batch: the batch's launches, shared by its members —
-    /// the whole point of batching is that this is *not* additive).
+    /// Kernel launches this request's execution performed.
     pub launches: u64,
-    /// Host→device bytes moved during execution (shared for a batch).
+    /// Host→device bytes moved during execution.
     pub h2d_bytes: u64,
-    /// How many requests ran in the same batched execution (1 = solo).
-    pub batch_size: u32,
     /// Grid slot of the device that served the request.
     pub device: usize,
     /// Graph version the request observed: the version pinned at
@@ -200,8 +182,7 @@ impl Ticket {
     }
 
     /// Request cooperative cancellation: takes effect before execution
-    /// starts, or (for non-batched requests) at the next kernel-launch
-    /// boundary mid-execution.
+    /// starts, or at the next kernel-launch boundary mid-execution.
     pub fn cancel(&self) {
         self.token.cancel();
     }
@@ -233,7 +214,6 @@ struct PendingRequest {
     plan: Arc<Plan>,
     payload: Payload,
     token: StopToken,
-    has_deadline: bool,
     submitted: Instant,
     slot: Arc<TicketSlot>,
     /// Version pinned at submission — `Some` for reads (released in
@@ -256,15 +236,12 @@ struct SchedState {
 struct EngineMetrics {
     submitted: Counter,
     completed: Counter,
-    rejected: Counter,
     rejected_interactive: Counter,
     rejected_batch: Counter,
     deadline_exceeded: Counter,
     cancelled: Counter,
     failed: Counter,
     updates_applied: Counter,
-    batches: Counter,
-    batched_requests: Counter,
     queue_depth_hwm: Gauge,
     queue_wait_us: Histogram,
     latency_us: Histogram,
@@ -287,7 +264,6 @@ impl EngineMetrics {
         EngineMetrics {
             submitted: counter("spbla_engine_submitted_total"),
             completed: counter("spbla_engine_completed_total"),
-            rejected: counter("spbla_engine_rejected_total"),
             rejected_interactive: reg.counter(&labeled(
                 "spbla_engine_rejections_total",
                 &[("engine", id.as_str()), ("tier", "interactive")],
@@ -300,8 +276,6 @@ impl EngineMetrics {
             cancelled: counter("spbla_engine_cancelled_total"),
             failed: counter("spbla_engine_failed_total"),
             updates_applied: counter("spbla_engine_updates_total"),
-            batches: counter("spbla_engine_batches_total"),
-            batched_requests: counter("spbla_engine_batched_requests_total"),
             queue_depth_hwm: reg.gauge(&labeled("spbla_engine_queue_depth_hwm", &labels)),
             queue_wait_us: reg.histogram(&labeled("spbla_engine_queue_wait_us", &labels)),
             latency_us: reg.histogram(&labeled("spbla_engine_latency_us", &labels)),
@@ -334,7 +308,8 @@ pub struct EngineStats {
     pub submitted: u64,
     /// Requests that completed successfully.
     pub completed: u64,
-    /// Requests bounced by admission control ([`EngineError::Overloaded`]).
+    /// Requests bounced by admission control
+    /// ([`EngineError::Overloaded`]): the sum of the two tiers below.
     pub rejected: u64,
     /// Rejections of interactive-tier requests.
     pub rejected_interactive: u64,
@@ -362,9 +337,9 @@ pub struct EngineStats {
     pub residency_evictions: u64,
     /// High-water mark of the admission-queue depth.
     pub queue_depth_hwm: usize,
-    /// Coalesced multi-source executions (batch size ≥ 2).
+    /// Always 0: requests are never coalesced (kept for API stability).
     pub batches: u64,
-    /// Requests served inside those coalesced executions.
+    /// Always 0: requests are never coalesced (kept for API stability).
     pub batched_requests: u64,
     /// Per-device counters, in grid-slot order.
     pub devices: Vec<DeviceStats>,
@@ -396,11 +371,7 @@ impl Engine {
                 metrics.residency_misses.clone(),
                 metrics.residency_evictions.clone(),
             ),
-            planner: Planner::with_counters(
-                config.plan_cache,
-                metrics.plan_hits.clone(),
-                metrics.plan_misses.clone(),
-            ),
+            planner: Planner::with_counters(metrics.plan_hits.clone(), metrics.plan_misses.clone()),
             table: Mutex::new(SymbolTable::new()),
             config,
             grid,
@@ -556,7 +527,6 @@ impl Engine {
             plan,
             payload,
             token: token.clone(),
-            has_deadline: deadline.is_some(),
             submitted: Instant::now(),
             slot: Arc::clone(&slot),
             version,
@@ -578,7 +548,6 @@ impl Engine {
             };
             if st.queue.len() >= limit {
                 let depth = st.queue.len();
-                inner.metrics.rejected.inc(1);
                 match tier {
                     QosTier::Interactive => inner.metrics.rejected_interactive.inc(1),
                     QosTier::Batch => inner.metrics.rejected_batch.inc(1),
@@ -627,7 +596,7 @@ impl Engine {
         EngineStats {
             submitted: m.submitted.get(),
             completed: m.completed.get(),
-            rejected: m.rejected.get(),
+            rejected: m.rejected_interactive.get() + m.rejected_batch.get(),
             rejected_interactive: m.rejected_interactive.get(),
             rejected_batch: m.rejected_batch.get(),
             deadline_exceeded: m.deadline_exceeded.get(),
@@ -640,8 +609,8 @@ impl Engine {
             residency_misses: m.residency_misses.get(),
             residency_evictions: m.residency_evictions.get(),
             queue_depth_hwm: m.queue_depth_hwm.get() as usize,
-            batches: m.batches.get(),
-            batched_requests: m.batched_requests.get(),
+            batches: 0,
+            batched_requests: 0,
             devices: inner.grid.stats(),
         }
     }
@@ -689,11 +658,11 @@ impl Drop for Engine {
 
 fn worker_loop(inner: &Arc<EngineInner>, dev: usize) {
     loop {
-        let batch = {
+        let req = {
             let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(first) = st.queue.pop_front() {
-                    break collect_batch(inner, &mut st, first);
+                if let Some(req) = st.queue.pop_front() {
+                    break req;
                 }
                 if st.shutdown {
                     return;
@@ -702,84 +671,25 @@ fn worker_loop(inner: &Arc<EngineInner>, dev: usize) {
             }
         };
         inner.in_flight.fetch_add(1, Ordering::Relaxed);
-        execute(inner, dev, batch);
+        execute(inner, dev, req);
         inner.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Sweep the queue for requests coalescible with `first`: deadline-less
-/// single-source RPQs on the same graph and canonical plan key. Key
-/// equality (not `Arc` identity) keeps batching effective even with the
-/// plan cache ablated off.
-fn collect_batch(
-    inner: &EngineInner,
-    st: &mut SchedState,
-    first: PendingRequest,
-) -> Vec<PendingRequest> {
-    let batchable = inner.config.batching
-        && !first.has_deadline
-        && matches!(first.payload, Payload::RpqFromSource(_));
-    let mut batch = vec![first];
-    if !batchable {
-        return batch;
-    }
-    let mut i = 0;
-    while i < st.queue.len() && batch.len() < inner.config.max_batch {
-        let candidate = &st.queue[i];
-        // An already-cancelled candidate is left in the queue: sweeping
-        // it into the batch would either run work nobody wants or (the
-        // old bug) attribute the batch's launch/byte deltas to a ticket
-        // that reports `Cancelled`. Its own dequeue finishes it with
-        // zero deltas.
-        let matches = !candidate.has_deadline
-            && matches!(candidate.payload, Payload::RpqFromSource(_))
-            && candidate.graph == batch[0].graph
-            && candidate.plan.key == batch[0].plan.key
-            && candidate.version == batch[0].version
-            && candidate.token.should_stop().is_none();
-        if matches {
-            batch.push(st.queue.remove(i).expect("index in bounds"));
-        } else {
-            i += 1;
-        }
-    }
-    batch
-}
-
-fn execute(inner: &EngineInner, dev: usize, mut batch: Vec<PendingRequest>) {
+fn execute(inner: &EngineInner, dev: usize, req: PendingRequest) {
     let dequeued = Instant::now();
     let device = inner.grid.device(dev).clone();
     let inst = inner.grid.instance(dev).clone();
     let before = device.stats();
 
-    // Requests cancelled (or expired) while queued finish without
+    // A request cancelled (or expired) while queued finishes without
     // touching the device.
-    batch.retain(|req| match req.token.should_stop() {
-        Some(e) => {
-            finish(
-                inner,
-                req,
-                Err(EngineError::from_exec(e.into())),
-                &before,
-                &before,
-                dequeued,
-                1,
-                dev,
-            );
-            false
-        }
-        None => true,
-    });
-    if batch.is_empty() {
+    if let Some(e) = req.token.should_stop() {
+        let result = Err(EngineError::from_exec(e.into()));
+        finish(inner, &req, result, &before, &before, dequeued, dev);
         return;
     }
 
-    if batch.len() > 1 {
-        execute_coalesced(inner, dev, &inst, batch, &before, dequeued, &device);
-        return;
-    }
-
-    let req = batch.pop().expect("one request");
     let mut span = trace_global().span(
         format!("request:{}", payload_name(&req.payload)),
         "request",
@@ -790,7 +700,6 @@ fn execute(inner: &EngineInner, dev: usize, mut batch: Vec<PendingRequest>) {
             "queue_wait_us",
             dequeued.duration_since(req.submitted).as_micros() as u64,
         );
-        span.arg("batch_size", 1);
     }
     // Arm the request's token for the duration of execution: fixpoints
     // observe it between launches. Cleared before the ticket fires so
@@ -800,158 +709,7 @@ fn execute(inner: &EngineInner, dev: usize, mut batch: Vec<PendingRequest>) {
     device.clear_stop_token();
     let after = device.stats();
     drop(span);
-    finish(inner, &req, result, &before, &after, dequeued, 1, dev);
-}
-
-fn execute_coalesced(
-    inner: &EngineInner,
-    dev: usize,
-    inst: &Instance,
-    batch: Vec<PendingRequest>,
-    before: &DeviceStats,
-    dequeued: Instant,
-    device: &spbla_gpu_sim::Device,
-) {
-    // Re-check every member's token at the execution boundary: a
-    // request cancelled *after* being coalesced must neither run nor
-    // receive the batch's launch/byte deltas — it finishes typed, with
-    // zero deltas, and its source is excluded so the survivors' metrics
-    // reflect only work actually done for them.
-    let (batch, stopped): (Vec<_>, Vec<_>) = batch
-        .into_iter()
-        .partition(|req| req.token.should_stop().is_none());
-    for req in &stopped {
-        let e = req.token.should_stop().expect("partitioned as stopped");
-        finish(
-            inner,
-            req,
-            Err(EngineError::from_exec(e.into())),
-            before,
-            before,
-            dequeued,
-            1,
-            dev,
-        );
-    }
-    if batch.is_empty() {
-        return;
-    }
-    if batch.len() > 1 {
-        inner.metrics.batches.inc(1);
-        inner.metrics.batched_requests.inc(batch.len() as u64);
-    }
-    let mut span = trace_global().span("request:rpq_batch", "request", device.ordinal());
-    if let Some(span) = span.as_mut() {
-        span.arg("batch_size", batch.len() as u64);
-        span.arg(
-            "queue_wait_us",
-            dequeued.duration_since(batch[0].submitted).as_micros() as u64,
-        );
-    }
-    let sources: Vec<u32> = batch
-        .iter()
-        .map(|req| match req.payload {
-            Payload::RpqFromSource(s) => s,
-            _ => unreachable!("collect_batch only coalesces single-source RPQs"),
-        })
-        .collect();
-    let PlanKind::Rpq(nfa) = &batch[0].plan.kind else {
-        unreachable!("single-source payload implies an RPQ plan")
-    };
-    let version = batch[0].version.expect("reads always pin a version");
-    let outcome = inner
-        .catalog
-        .resident_at(&batch[0].graph, version, dev, inst)
-        .and_then(|resident| {
-            // Small batches skip the b×n product machine: each source
-            // runs the sparse-vector frontier path (push/pull selected
-            // per round), which answers bit-identically.
-            if sources.len() <= FRONTIER_MAX_SOURCES {
-                sources
-                    .iter()
-                    .map(|&s| {
-                        rpq_from_sources_mats(
-                            &resident.labels,
-                            resident.n_vertices,
-                            nfa,
-                            &[s],
-                            inst,
-                        )
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(EngineError::from_exec)
-            } else {
-                rpq_from_each_source_mats(
-                    &resident.labels,
-                    resident.n_vertices,
-                    nfa,
-                    &sources,
-                    inst,
-                )
-                .map_err(EngineError::from_exec)
-            }
-        });
-    let after = device.stats();
-    drop(span);
-    let size = batch.len() as u32;
-    match outcome {
-        Ok(rows) => {
-            for (req, row) in batch.iter().zip(rows) {
-                finish(
-                    inner,
-                    req,
-                    Ok(QueryResult::Reachable(row)),
-                    before,
-                    &after,
-                    dequeued,
-                    size,
-                    dev,
-                );
-            }
-        }
-        Err(e) => {
-            for req in &batch {
-                finish(
-                    inner,
-                    req,
-                    Err(clone_error(&e)),
-                    before,
-                    &after,
-                    dequeued,
-                    size,
-                    dev,
-                );
-            }
-        }
-    }
-}
-
-/// Duplicate a batch-wide error for each member (the underlying device
-/// and core errors are `Clone`; the engine-level wrappers are rebuilt).
-fn clone_error(e: &EngineError) -> EngineError {
-    match e {
-        EngineError::Overloaded {
-            depth,
-            capacity,
-            tier,
-        } => EngineError::Overloaded {
-            depth: *depth,
-            capacity: *capacity,
-            tier: *tier,
-        },
-        EngineError::DeadlineExceeded {
-            elapsed_ms,
-            budget_ms,
-        } => EngineError::DeadlineExceeded {
-            elapsed_ms: *elapsed_ms,
-            budget_ms: *budget_ms,
-        },
-        EngineError::Cancelled => EngineError::Cancelled,
-        EngineError::UnknownGraph(name) => EngineError::UnknownGraph(name.clone()),
-        EngineError::PlanError(msg) => EngineError::PlanError(msg.clone()),
-        EngineError::ShuttingDown => EngineError::ShuttingDown,
-        EngineError::Exec(e) => EngineError::Exec(e.clone()),
-    }
+    finish(inner, &req, result, &before, &after, dequeued, dev);
 }
 
 fn run_one(
@@ -965,13 +723,13 @@ fn run_one(
     match (&req.plan.kind, &req.payload) {
         (PlanKind::Rpq(nfa), Payload::RpqAllPairs) => {
             let resident = inner.catalog.resident_at(&req.graph, pinned(), dev, inst)?;
-            rpq_all_pairs_mats(&resident.labels, resident.n_vertices, nfa, inst)
+            rpq_pairs_from_mats(&resident.labels, resident.n_vertices, nfa, inst)
                 .map(QueryResult::Pairs)
                 .map_err(EngineError::from_exec)
         }
         (PlanKind::Rpq(nfa), Payload::RpqFromSource(source)) => {
-            // A lone source is always under FRONTIER_MAX_SOURCES: run
-            // the vector frontier path, not the product machine.
+            // One source is a frontier × automaton vector walk, not the
+            // product machine.
             let resident = inner.catalog.resident_at(&req.graph, pinned(), dev, inst)?;
             rpq_from_sources_mats(&resident.labels, resident.n_vertices, nfa, &[*source], inst)
                 .map(QueryResult::Reachable)
@@ -1026,7 +784,6 @@ fn run_one(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn finish(
     inner: &EngineInner,
     req: &PendingRequest,
@@ -1034,7 +791,6 @@ fn finish(
     before: &DeviceStats,
     after: &DeviceStats,
     dequeued: Instant,
-    batch_size: u32,
     dev: usize,
 ) {
     match &result {
@@ -1069,7 +825,6 @@ fn finish(
             latency,
             launches,
             h2d_bytes: after.h2d_bytes - before.h2d_bytes,
-            batch_size,
             device: dev,
             version,
         },

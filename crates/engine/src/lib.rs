@@ -14,11 +14,9 @@
 //!   rendering so respelled queries hit;
 //! * [`engine`] — a bounded admission queue feeding one worker per
 //!   [`DeviceGrid`](spbla_multidev::DeviceGrid) device, typed
-//!   [`Overloaded`](EngineError::Overloaded) rejection, per-request
+//!   [`Overloaded`](EngineError::Overloaded) rejection, and per-request
 //!   deadlines via cooperative [`StopToken`](spbla_gpu_sim::StopToken)
-//!   cancellation between kernel launches, and same-plan batching that
-//!   coalesces queued single-source RPQs into one multi-source run with
-//!   per-source provenance.
+//!   cancellation between kernel launches.
 //!
 //! ```
 //! use spbla_engine::{Engine, EngineConfig, Query, QueryResult};

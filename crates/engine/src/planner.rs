@@ -8,8 +8,7 @@
 //! ([`spbla_lang::Regex::canonical`] / [`spbla_lang::Grammar::canonical`]):
 //! any two spellings of one query — whitespace, sugar, nonterminal
 //! naming — hit the same entry, while distinct queries can never alias
-//! (the canonical forms are injective). The canonical key is also the
-//! scheduler's same-plan batching key.
+//! (the canonical forms are injective).
 
 use std::sync::{Arc, Mutex};
 
@@ -22,21 +21,6 @@ use spbla_lang::minimize::minimize;
 use spbla_lang::{CnfGrammar, Grammar, Nfa, Regex, SymbolTable};
 
 use crate::error::EngineError;
-
-/// Source-count ceiling under which the engine routes an RPQ batch to
-/// the vector frontier path
-/// ([`spbla_graph::rpq_bfs::rpq_from_sources_mats`]) instead of the
-/// batched `b × n` product-machine BFS. Answers are bit-identical
-/// either way (both render sorted, deduplicated vertex sets); the
-/// constant is set from the `report frontier` ablation
-/// (BENCH_frontier.json), which sweeps source count on the LUBM
-/// fixture: a lone source ties (~15–30 µs both paths, within noise)
-/// and stays on the frontier path — it touches `O(touched edges)` and
-/// never materialises the `b × n` machine state — while from 2 sources
-/// up the product machine wins 2–3× because the simulator's launch
-/// chain amortises across the batch far faster than the per-source
-/// frontier chase repeats it.
-pub const FRONTIER_MAX_SOURCES: usize = 1;
 
 /// What a plan executes as.
 #[derive(Debug)]
@@ -61,32 +45,26 @@ pub enum PlanKind {
 #[derive(Debug)]
 pub struct Plan {
     /// Canonical key: namespaced canonical query rendering. Equal keys
-    /// mean identical plans — the batching invariant.
+    /// mean identical plans.
     pub key: String,
     /// The executable form.
     pub kind: PlanKind,
 }
 
-/// Plan cache with hit/miss accounting. The cache can be disabled for
-/// the E12 ablation; keys (and therefore batching) work either way.
+/// Plan cache with hit/miss accounting.
+#[derive(Default)]
 pub struct Planner {
-    enabled: bool,
     cache: Mutex<FxHashMap<String, Arc<Plan>>>,
     hits: Counter,
     misses: Counter,
 }
 
 impl Planner {
-    pub fn new(enabled: bool) -> Planner {
-        Planner::with_counters(enabled, Counter::default(), Counter::default())
-    }
-
     /// Build with caller-provided counter cells — the engine hands in
     /// registry-owned counters so hit/miss accounting lands in the
     /// global [`spbla_obs::MetricsRegistry`] with no second bookkeeping.
-    pub fn with_counters(enabled: bool, hits: Counter, misses: Counter) -> Planner {
+    pub fn with_counters(hits: Counter, misses: Counter) -> Planner {
         Planner {
-            enabled,
             cache: Mutex::new(FxHashMap::default()),
             hits,
             misses,
@@ -149,31 +127,27 @@ impl Planner {
         key: String,
         build: impl FnOnce() -> PlanKind,
     ) -> Result<Arc<Plan>, EngineError> {
-        if self.enabled {
-            if let Some(plan) = self
-                .cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(&key)
-            {
-                self.hits.inc(1);
-                return Ok(Arc::clone(plan));
-            }
+        if let Some(plan) = self
+            .cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&key)
+        {
+            self.hits.inc(1);
+            return Ok(Arc::clone(plan));
         }
         self.misses.inc(1);
         let plan = Arc::new(Plan {
             key: key.clone(),
             kind: build(),
         });
-        if self.enabled {
-            // First planner wins a race; both plans are identical
-            // because the build is a pure function of the key.
-            self.cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .entry(key)
-                .or_insert_with(|| Arc::clone(&plan));
-        }
+        // First planner wins a race; both plans are identical because
+        // the build is a pure function of the key.
+        self.cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entry(key)
+            .or_insert_with(|| Arc::clone(&plan));
         Ok(plan)
     }
 
@@ -199,7 +173,7 @@ mod tests {
 
     #[test]
     fn respelled_queries_hit() {
-        let planner = Planner::new(true);
+        let planner = Planner::default();
         let table = Mutex::new(SymbolTable::new());
         let a = planner.plan_rpq("knows . (likes|knows)*", &table).unwrap();
         let b = planner.plan_rpq("knows(likes | knows)*", &table).unwrap();
@@ -211,19 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_always_misses_but_keys_agree() {
-        let planner = Planner::new(false);
-        let table = Mutex::new(SymbolTable::new());
-        let a = planner.plan_rpq("a . b*", &table).unwrap();
-        let b = planner.plan_rpq("a b*", &table).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(a.key, b.key); // batching still coalesces
-        assert_eq!(planner.counters(), (0, 2));
-    }
-
-    #[test]
     fn rpq_and_cfpq_namespaces_disjoint() {
-        let planner = Planner::new(true);
+        let planner = Planner::default();
         let table = Mutex::new(SymbolTable::new());
         let r = planner.plan_rpq("a", &table).unwrap();
         let g = planner.plan_cfpq("S -> a", &table).unwrap();

@@ -1,20 +1,21 @@
-//! Transitive-closure schedules.
+//! Transitive closure.
 //!
 //! The paper singles out *incremental transitive closure* as the
 //! bottleneck between the tensor CFPQ algorithm and a truly subcubic
 //! solution; the CFPQ fixpoint recomputes a closure after each batch of
 //! new edges, so how that recomputation is scheduled dominates runtime.
-//! The schedules below are ablated against each other (E10.4, E10.8);
 //! [`closure_delta`] — semi-naïve iteration over the frontier with a
-//! complemented-mask SpGEMM — is the one the hot paths use.
+//! complemented-mask SpGEMM — is the one production schedule;
+//! [`closure_incremental`] extends an existing closure by a batch of
+//! edges; [`closure_squaring`] is the naive oracle tests compare them
+//! against.
 
 use spbla_core::{CsrBool, Matrix, Result};
 use spbla_multidev::{DeviceGrid, DistMatrix};
 
 /// Closure by repeated squaring: `C ← C + C·C` until fixpoint —
-/// O(log diameter) multiplications of growing density. Kept as the
-/// naive baseline for the schedule ablation; the hot paths use
-/// [`closure_delta`].
+/// O(log diameter) multiplications of growing density. The naive test
+/// oracle; production callers use [`closure_delta`].
 pub fn closure_squaring(adjacency: &Matrix) -> Result<Matrix> {
     let mut c = adjacency.duplicate()?;
     loop {
@@ -26,49 +27,18 @@ pub fn closure_squaring(adjacency: &Matrix) -> Result<Matrix> {
     }
 }
 
-/// Masked squaring: `C ← C + ((C·C) ∧ ¬C)` — the naive schedule's
-/// operands, but the complemented-mask SpGEMM discards already-known
-/// pairs inside the kernel instead of re-materialising them. The
-/// middle rung of the schedule ablation between [`closure_squaring`]
-/// and [`closure_delta`]: it saves accumulator insertions but still
-/// multiplies the full closure each round.
-pub fn closure_masked(adjacency: &Matrix) -> Result<Matrix> {
-    let mut c = adjacency.duplicate()?;
-    loop {
-        // Fused `(C·C) ∧ ¬C` + accumulate; no delta needed next round,
-        // so the fresh matrix is never materialised.
-        let step = c.mxm_accum_compmask(&c, &c, false)?;
-        if step.fresh_nnz == 0 {
-            return Ok(c);
-        }
-        c = step.acc;
-    }
-}
-
-/// Semi-naïve closure: track the frontier Δ of pairs discovered last
-/// round and compute only `N = (C·Δ) ∧ ¬C` each round, stopping when Δ
-/// is empty. One delta-sided multiply per round preserves the doubling
-/// of [`closure_squaring`]: a shortest path of length `m ∈ (2ᵏ, 2ᵏ⁺¹]`
+/// Semi-naïve closure ([`Matrix::transitive_closure`]): track the
+/// frontier Δ of pairs discovered last round and compute only
+/// `N = (C·Δ) ∧ ¬C` each round, stopping when Δ is empty. One
+/// delta-sided multiply per round preserves the doubling of
+/// [`closure_squaring`]: a shortest path of length `m ∈ (2ᵏ, 2ᵏ⁺¹]`
 /// splits into a prefix of `⌊m/2⌋ ≤ 2ᵏ` (already in `C`) and a suffix
 /// of `⌈m/2⌉ ∈ (2ᵏ⁻¹, 2ᵏ]` (discovered exactly last round, so in `Δ`).
 /// The complemented-mask SpGEMM rejects already-known pairs inside the
 /// kernel, so per-round cost is proportional to the product touching
 /// *new* pairs rather than the full `C·C`.
 pub fn closure_delta(adjacency: &Matrix) -> Result<Matrix> {
-    let mut c = adjacency.duplicate()?;
-    let mut delta = adjacency.duplicate()?;
-    while delta.nnz() > 0 {
-        // One fused kernel per round: product, complement-mask,
-        // accumulate, and the termination count — the delta comes back
-        // as the kernel's fresh output, never as a standalone product.
-        let step = c.mxm_accum_compmask(&c, &delta, true)?;
-        if step.fresh_nnz == 0 {
-            break;
-        }
-        c = step.acc;
-        delta = step.fresh.expect("fresh requested");
-    }
-    Ok(c)
+    adjacency.transitive_closure()
 }
 
 /// Distributed semi-naïve closure: shard the adjacency by block-rows
@@ -80,31 +50,6 @@ pub fn closure_delta(adjacency: &Matrix) -> Result<Matrix> {
 pub fn closure_delta_dist(adjacency: &CsrBool, grid: &DeviceGrid) -> Result<CsrBool> {
     let sharded = DistMatrix::from_csr(grid, adjacency)?;
     Ok(sharded.closure_delta()?.gather())
-}
-
-/// [`closure_delta_dist`] on a fresh grid of `devices` default CSR
-/// devices; returns the closure and the grid so callers can audit the
-/// per-device counters the run produced.
-pub fn closure_delta_on_devices(
-    adjacency: &CsrBool,
-    devices: usize,
-) -> Result<(CsrBool, DeviceGrid)> {
-    let grid = DeviceGrid::new(devices);
-    let closure = closure_delta_dist(adjacency, &grid)?;
-    Ok((closure, grid))
-}
-
-/// Closure by single-step relaxation: `C ← C + C·A` until fixpoint —
-/// O(diameter) multiplications, each against the sparse original.
-pub fn closure_single_step(adjacency: &Matrix) -> Result<Matrix> {
-    let mut c = adjacency.duplicate()?;
-    loop {
-        let before = c.nnz();
-        c = c.mxm_acc(&c, adjacency)?;
-        if c.nnz() == before {
-            return Ok(c);
-        }
-    }
 }
 
 /// Incremental closure: given the closure `t` of some graph and a batch
@@ -141,40 +86,6 @@ pub fn closure_incremental(t: &Matrix, delta: &Matrix) -> Result<Matrix> {
     }
 }
 
-/// Closure via the dense bit-parallel backend: convert, square to a
-/// fixpoint with word-parallel `mxm`, convert back. Quadratic memory,
-/// but on small-to-medium product spaces the 64-cells-per-instruction
-/// multiply wins by a wide margin (ablation E10.6); used when the
-/// `n² / 8` bytes fit a sensible budget.
-pub fn closure_dense_bit(adjacency: &Matrix) -> Result<Matrix> {
-    use spbla_core::format::bitmat::BitMatrix;
-    let n = adjacency.nrows();
-    let csr = adjacency.to_csr();
-    let mut c = BitMatrix::from_pairs(n, n, &csr.to_pairs())?;
-    loop {
-        let before = c.nnz();
-        let sq = c.mxm(&c)?;
-        c = c.ewise_add(&sq)?;
-        if c.nnz() == before {
-            break;
-        }
-    }
-    let out = spbla_core::CsrBool::from_pairs(n, n, &c.to_pairs())?;
-    Matrix::from_csr(adjacency.instance(), out)
-}
-
-/// Pick a closure strategy by size: dense bitset when the `n²/8`-byte
-/// matrix stays under 64 MiB, sparse semi-naïve otherwise.
-pub fn closure_auto(adjacency: &Matrix) -> Result<Matrix> {
-    let n = adjacency.nrows() as usize;
-    let dense_bytes = n.div_ceil(64) * 8 * n;
-    if dense_bytes <= (64 << 20) {
-        closure_dense_bit(adjacency)
-    } else {
-        closure_delta(adjacency)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,9 +101,7 @@ mod tests {
         for inst in [Instance::cpu(), Instance::cuda_sim(), Instance::cl_sim()] {
             let a = path_graph(&inst, 12);
             let sq = closure_squaring(&a).unwrap().read();
-            let ss = closure_single_step(&a).unwrap().read();
             let dl = closure_delta(&a).unwrap().read();
-            assert_eq!(sq, ss);
             assert_eq!(sq, dl);
             assert_eq!(sq.len(), (11 * 12) / 2);
         }
@@ -216,7 +125,6 @@ mod tests {
                 let a = Matrix::from_pairs(&inst, 25, 25, &pairs).unwrap();
                 let naive = closure_squaring(&a).unwrap().read();
                 assert_eq!(closure_delta(&a).unwrap().read(), naive);
-                assert_eq!(closure_masked(&a).unwrap().read(), naive);
             }
         }
     }
@@ -234,7 +142,8 @@ mod tests {
         let single = closure_delta(&a).unwrap().read();
         let csr = spbla_core::CsrBool::from_pairs(30, 30, &pairs).unwrap();
         for devices in [1, 2, 4, 8] {
-            let (dist, grid) = closure_delta_on_devices(&csr, devices).unwrap();
+            let grid = DeviceGrid::new(devices);
+            let dist = closure_delta_dist(&csr, &grid).unwrap();
             assert_eq!(dist.to_pairs(), single, "{devices} devices");
             if devices > 1 {
                 assert!(grid.total_stats().d2d_bytes > 0);
@@ -263,19 +172,6 @@ mod tests {
         assert_eq!(inc.read(), full.read());
         // The bridge must connect the components transitively.
         assert!(inc.get(0, 5));
-    }
-
-    #[test]
-    fn dense_bit_closure_matches_sparse() {
-        for inst in [Instance::cpu(), Instance::cuda_sim()] {
-            let pairs: Vec<(u32, u32)> = (0..60u32).map(|i| (i % 20, (i * 7 + 3) % 20)).collect();
-            let a = Matrix::from_pairs(&inst, 20, 20, &pairs).unwrap();
-            let sparse = closure_squaring(&a).unwrap();
-            let dense = closure_dense_bit(&a).unwrap();
-            let auto = closure_auto(&a).unwrap();
-            assert_eq!(dense.read(), sparse.read());
-            assert_eq!(auto.read(), sparse.read());
-        }
     }
 
     #[test]

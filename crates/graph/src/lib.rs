@@ -4,9 +4,9 @@
 //!
 //! * [`graph`] — edge-labeled graphs as one Boolean adjacency matrix per
 //!   label;
-//! * [`closure`] — transitive-closure schedules (naive squaring,
-//!   single-step, and the *incremental* closure the paper identifies as
-//!   the CFPQ bottleneck);
+//! * [`closure`] — transitive closure: the semi-naïve production
+//!   schedule, the *incremental* closure the paper identifies as the
+//!   CFPQ bottleneck, and the naive squaring oracle;
 //! * [`rpq`] — regular path querying: Glushkov automaton ⊗ graph
 //!   (Kronecker product), closure, reachability index, path extraction;
 //! * [`cfpq::tensor`] — the `Tns` algorithm: RSM ⊗ graph fixpoint with
@@ -23,7 +23,6 @@ pub mod closure;
 pub mod graph;
 pub mod paths;
 pub mod rpq;
-pub mod rpq_batch;
 pub mod rpq_bfs;
 pub mod rpq_derivative;
 

@@ -7,27 +7,17 @@
 //! evaluation times (Figures 2 and 3). A pair `(v, u)` is an answer iff
 //! some `(q₀·n + v, q_f·n + u)` is in the closure.
 
+use std::borrow::Borrow;
+
 use rustc_hash::FxHashMap;
 
 use spbla_core::{CsrBool, Instance, Matrix, Result};
 use spbla_lang::glushkov::glushkov;
 use spbla_lang::{Nfa, Regex, Symbol};
 
-use crate::closure::{closure_delta, closure_single_step, closure_squaring};
+use crate::closure::closure_delta;
 use crate::graph::LabeledGraph;
 use crate::paths::PathEdge;
-
-/// Closure schedule selection for index construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClosureKind {
-    /// Semi-naïve frontier iteration `(C·Δ) ∧ ¬C` (default).
-    #[default]
-    Delta,
-    /// `C += C·C` doubling.
-    Squaring,
-    /// `C += C·A` relaxation.
-    SingleStep,
-}
 
 /// Automaton construction used for the query's Kronecker factor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,11 +38,81 @@ pub enum AutomatonKind {
 /// Options for [`RpqIndex::build`].
 #[derive(Debug, Clone, Default)]
 pub struct RpqOptions {
-    /// Closure schedule.
-    pub closure: ClosureKind,
     /// Automaton construction (E10-adjacent ablation: the automaton's
     /// state count is the Kronecker factor size).
     pub automaton: AutomatonKind,
+}
+
+/// The index itself: `M = Σ_s A_s ⊗ G_s` over the given factor pairs
+/// on a `k`-state automaton and `n` vertices, then the closure of `M`.
+/// Graph factors are owned by the host-graph entry (uploaded per label,
+/// dropped after their product) and borrowed by the resident entry.
+fn product_closure<G: Borrow<Matrix>>(
+    inst: &Instance,
+    k: u32,
+    n: u32,
+    factors: impl IntoIterator<Item = Result<(CsrBool, G)>>,
+) -> Result<Matrix> {
+    let mut m = Matrix::zeros(inst, k * n, k * n)?;
+    for factor in factors {
+        let (a, g) = factor?;
+        let a = Matrix::from_csr(inst, a)?;
+        m = m.ewise_add(&a.kron(g.borrow())?)?;
+    }
+    closure_delta(&m)
+}
+
+/// Read the answer out of an index closure: the union of its
+/// `(q₀, q_f)` blocks, plus every `(v, v)` under ε-acceptance.
+fn answer_pairs(
+    closure: &Matrix,
+    n: u32,
+    starts: &[u32],
+    finals: &[u32],
+    accepts_epsilon: bool,
+) -> Result<Vec<(u32, u32)>> {
+    let mut out: Vec<(u32, u32)> = Vec::new();
+    for &q0 in starts {
+        for &qf in finals {
+            out.extend(closure.submatrix(q0 * n, qf * n, n, n)?.read());
+        }
+    }
+    if accepts_epsilon {
+        out.extend((0..n).map(|v| (v, v)));
+    }
+    out.sort_unstable();
+    out.dedup();
+    Ok(out)
+}
+
+/// All-pairs RPQ over label matrices already resident on `inst`'s
+/// device — the entry the engine catalog uses, so a cache-resident
+/// graph is never re-uploaded per request. Same answers as
+/// [`RpqIndex::reachable_pairs`] by construction: both run the same
+/// assembly and read-out.
+pub fn rpq_pairs_from_mats(
+    mats: &FxHashMap<Symbol, Matrix>,
+    n: u32,
+    nfa: &Nfa,
+    inst: &Instance,
+) -> Result<Vec<(u32, u32)>> {
+    let k = nfa.n_states();
+    let factors = nfa
+        .transitions_by_symbol()
+        .into_iter()
+        .filter_map(|(sym, edges)| {
+            // Label absent from the graph or empty: A_s ⊗ 0 = 0.
+            let g = mats.get(&sym).filter(|g| g.nnz() > 0)?;
+            Some(CsrBool::from_pairs(k, k, &edges).map(|a| (a, g)))
+        });
+    let closure = product_closure(inst, k, n, factors)?;
+    answer_pairs(
+        &closure,
+        n,
+        nfa.start_states(),
+        nfa.final_states(),
+        nfa.accepts_epsilon(),
+    )
 }
 
 /// The reachability index of one RPQ over one graph.
@@ -102,16 +162,11 @@ impl RpqIndex {
                 spbla_lang::minimize::minimize(&dfa)
             }
         };
-        Self::build_from_nfa(graph, &nfa, inst, options)
+        Self::build_from_nfa(graph, &nfa, inst)
     }
 
     /// Build from an explicit ε-free NFA.
-    pub fn build_from_nfa(
-        graph: &LabeledGraph,
-        nfa: &Nfa,
-        inst: &Instance,
-        options: &RpqOptions,
-    ) -> Result<RpqIndex> {
+    pub fn build_from_nfa(graph: &LabeledGraph, nfa: &Nfa, inst: &Instance) -> Result<RpqIndex> {
         let k = nfa.n_states();
         let n = graph.n_vertices();
 
@@ -127,20 +182,11 @@ impl RpqIndex {
             graph_mats.insert(sym, graph.label_csr(sym));
         }
 
-        // M = Σ_s A_s ⊗ G_s.
-        let mut m = Matrix::zeros(inst, k * n, k * n)?;
-        for (sym, a) in &automaton {
-            let da = Matrix::from_csr(inst, a.clone())?;
-            let dg = Matrix::from_csr(inst, graph_mats[sym].clone())?;
-            let piece = da.kron(&dg)?;
-            m = m.ewise_add(&piece)?;
-        }
-
-        let closure = match options.closure {
-            ClosureKind::Delta => closure_delta(&m)?,
-            ClosureKind::Squaring => closure_squaring(&m)?,
-            ClosureKind::SingleStep => closure_single_step(&m)?,
-        };
+        let factors = automaton.iter().map(|(sym, a)| {
+            let g = Matrix::from_csr(inst, graph_mats[sym].clone())?;
+            Ok((a.clone(), g))
+        });
+        let closure = product_closure(inst, k, n, factors)?;
 
         Ok(RpqIndex {
             k,
@@ -167,21 +213,13 @@ impl RpqIndex {
     /// All reachable pairs `(v, u)` (vertices connected by a word of the
     /// language). ε-acceptance contributes every `(v, v)`.
     pub fn reachable_pairs(&self) -> Result<Vec<(u32, u32)>> {
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        for &q0 in &self.starts {
-            for &qf in &self.finals {
-                let block = self
-                    .closure
-                    .submatrix(q0 * self.n, qf * self.n, self.n, self.n)?;
-                out.extend(block.read());
-            }
-        }
-        if self.accepts_epsilon {
-            out.extend((0..self.n).map(|v| (v, v)));
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
+        answer_pairs(
+            &self.closure,
+            self.n,
+            &self.starts,
+            &self.finals,
+            self.accepts_epsilon,
+        )
     }
 
     /// Whether `u` reaches `v` under the query.
@@ -329,34 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn closure_kinds_agree() {
-        let (mut t, g) = setup();
-        let r = Regex::parse("(a | b)+", &mut t).unwrap();
-        let inst = Instance::cpu();
-        let sq = RpqIndex::build(
-            &g,
-            &r,
-            &inst,
-            &RpqOptions {
-                closure: ClosureKind::Squaring,
-                ..RpqOptions::default()
-            },
-        )
-        .unwrap();
-        let ss = RpqIndex::build(
-            &g,
-            &r,
-            &inst,
-            &RpqOptions {
-                closure: ClosureKind::SingleStep,
-                ..RpqOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sq.reachable_pairs().unwrap(), ss.reachable_pairs().unwrap());
-    }
-
-    #[test]
     fn all_automaton_kinds_agree() {
         let (mut t, g) = setup();
         let inst = Instance::cpu();
@@ -370,16 +380,7 @@ mod tests {
                 AutomatonKind::DerivativeDfa,
                 AutomatonKind::MinimizedDfa,
             ] {
-                let idx = RpqIndex::build(
-                    &g,
-                    &r,
-                    &inst,
-                    &RpqOptions {
-                        automaton: kind,
-                        ..RpqOptions::default()
-                    },
-                )
-                .unwrap();
+                let idx = RpqIndex::build(&g, &r, &inst, &RpqOptions { automaton: kind }).unwrap();
                 states.push(idx.automaton_states());
                 answers.push(idx.reachable_pairs().unwrap());
             }

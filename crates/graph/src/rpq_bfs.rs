@@ -44,9 +44,8 @@ pub fn rpq_from_sources_nfa(
 }
 
 /// [`rpq_from_sources_nfa`] over label matrices already resident on
-/// `inst`'s device — the entry point the engine planner uses when it
-/// routes a small source set to the frontier path instead of the full
-/// product closure. Frontier pushes go through
+/// `inst`'s device — the entry point the engine runs every
+/// single-source request through. Frontier pushes go through
 /// [`Matrix::frontier_step`], which picks push or pull per round from
 /// the frontier's measured density.
 pub fn rpq_from_sources_mats(

@@ -2,8 +2,8 @@
 //! related work cites (Nolé & Sartiani's Pregel evaluator): propagate
 //! `(source, residual-regex)` facts along edges, taking Brzozowski
 //! derivatives, instead of building a matrix index. Serves as an
-//! independent baseline for both correctness tests and the ablation
-//! benches (index-based vs automaton-free evaluation).
+//! independent baseline for correctness tests (index-based vs
+//! automaton-free evaluation).
 
 use rustc_hash::{FxHashMap, FxHashSet};
 

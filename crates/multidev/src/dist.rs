@@ -478,41 +478,6 @@ impl DistMatrix {
         self.ewise(other, "dist ewise_mult")
     }
 
-    /// Element-wise Boolean difference `C = A ∧ ¬B` (set difference).
-    /// Once `other` is aligned to this partition the subtraction is
-    /// purely shard-local: each device runs the single-device and-not
-    /// (a complement-masked multiply by its own identity) with no peer
-    /// traffic.
-    pub fn ewise_andnot(&self, other: &DistMatrix) -> Result<DistMatrix> {
-        self.check_same_grid(other)?;
-        if self.shape() != other.shape() {
-            return Err(SpblaError::DimensionMismatch {
-                op: "dist ewise_andnot",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let resharded;
-        let other = if self.offsets == other.offsets {
-            other
-        } else {
-            resharded = other.reshard(self.offsets.clone())?;
-            &resharded
-        };
-        let shards = self
-            .shards
-            .iter()
-            .zip(other.shards.iter())
-            .map(|(a, b)| a.ewise_andnot(b))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(DistMatrix {
-            grid: self.grid.clone(),
-            offsets: self.offsets.clone(),
-            ncols: self.ncols,
-            shards,
-        })
-    }
-
     /// Apply an edge-update batch shard-locally: each device folds the
     /// inserts and deletes that land in its row range into its own
     /// shard (`S' = (S ∪ ins) ∧ ¬del`) and untouched shards are deep
@@ -661,8 +626,9 @@ impl DistMatrix {
     }
 
     /// Distributed naive squaring closure (`C ← C + C·C` to fixpoint) —
-    /// the baseline schedule for the scaling ablation: every round
-    /// all-gathers the whole current closure instead of the frontier.
+    /// the naive test oracle for [`DistMatrix::closure_delta`]: every
+    /// round all-gathers the whole current closure instead of the
+    /// frontier.
     pub fn closure_squaring(&self) -> Result<DistMatrix> {
         self.check_square("dist closure")?;
         let mut c = self.duplicate()?;
@@ -870,26 +836,6 @@ mod tests {
             g_naive.total_stats().d2d_bytes,
             g_delta.total_stats().d2d_bytes
         );
-    }
-
-    #[test]
-    fn ewise_andnot_matches_host_difference() {
-        let n = 13u32;
-        let pa = pseudo_pairs(n, 45, 41);
-        let pb = pseudo_pairs(n, 30, 42);
-        let sa: std::collections::BTreeSet<Pair> = pa.iter().copied().collect();
-        let sb: std::collections::BTreeSet<Pair> = pb.iter().copied().collect();
-        let expect: Vec<Pair> = sa.difference(&sb).copied().collect();
-        for devices in [1, 3] {
-            let grid = DeviceGrid::new(devices);
-            let a = DistMatrix::from_pairs(&grid, n, n, &pa).unwrap();
-            let b = DistMatrix::from_pairs(&grid, n, n, &pb).unwrap();
-            let d2d_before = grid.total_stats().d2d_bytes;
-            let c = a.ewise_andnot(&b).unwrap();
-            assert_eq!(c.gather().to_pairs(), expect, "{devices} devices");
-            // Aligned partitions: the and-not is shard-local.
-            assert_eq!(grid.total_stats().d2d_bytes, d2d_before);
-        }
     }
 
     #[test]

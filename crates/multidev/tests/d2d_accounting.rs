@@ -32,7 +32,6 @@ fn one_device_grid_total_d2d_is_zero() {
     // Element-wise family.
     a.ewise_add(&b).unwrap();
     a.ewise_mult(&b).unwrap();
-    a.ewise_andnot(&b).unwrap();
 
     // Structure ops and reductions.
     a.kron(&mask).unwrap();

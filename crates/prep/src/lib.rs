@@ -1,4 +1,4 @@
-//! # spbla-prep — planner preprocessing: condense, reorder, expand
+//! # spbla-prep — planner preprocessing: condense, expand
 //!
 //! The structure-aware preprocessing stage the engine's planner runs in
 //! front of closure-shaped fixpoints (ROADMAP open item 3):
@@ -10,20 +10,14 @@
 //!   DAG's level count), and a blocked host expansion
 //!   `R = P·R_dag·Pᵀ` fills each cyclic component's all-pairs block
 //!   without a single SpGEMM accumulator insertion — bit-identical to
-//!   the direct closure by construction;
-//! * [`perm`] — degree and Morton-locality vertex permutations
-//!   ([`Perm`]), applied/inverted on [`spbla_core::Matrix`] through the
-//!   dispatched kernel surface.
+//!   the direct closure by construction.
 //!
 //! Everything is observable: `spbla_prep_condense_total`,
-//! `spbla_prep_scc_count`, `spbla_prep_condensation_ratio_pct`,
-//! `spbla_prep_live_levels`, and `spbla_prep_permute_launches_total`
-//! land in the global [`spbla_obs`] registry.
+//! `spbla_prep_scc_count`, `spbla_prep_condensation_ratio_pct` and
+//! `spbla_prep_live_levels` land in the global [`spbla_obs`] registry.
 
 pub mod condense;
-pub mod perm;
 pub mod scc;
 
 pub use condense::{condensed_closure, condensed_closure_with, CondenseStats};
-pub use perm::Perm;
 pub use scc::Condensation;

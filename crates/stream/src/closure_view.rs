@@ -1,27 +1,22 @@
 //! Incrementally maintained reflexive-transitive closure.
 //!
 //! The view keeps `R = A⁺ ∪ I` — the *reflexive* closure of an
-//! adjacency matrix `A` — device-resident, and repairs it in place as
-//! edge batches arrive. Reflexivity buys the incremental paths their
-//! one-shot structure: with `R·R = R`,
+//! adjacency matrix `A` — device-resident, and repairs it as edge
+//! batches arrive. Reflexivity buys the insert path its one-shot
+//! structure: with `R·R = R`, **insertions** `D` change the closure by
+//! exactly `(R·D·R)⁺`, and every genuinely new pair in that set is a
+//! chain through the frontier `F = (R·D·R) ∧ ¬R`, so the repair is
+//! `R ← R ∪ F⁺` — two launches when the batch creates nothing new, a
+//! short semi-naïve fixpoint over the (small) frontier when it does.
+//! When the frontier exceeds a configurable fraction of `R`, the view
+//! abandons the incremental path and recomputes from scratch — a
+//! big-enough batch makes recompute the cheaper schedule.
 //!
-//! * **insertions** `D` change the closure by exactly `(R·D·R)⁺`, and
-//!   every genuinely new pair in that set is a chain through the
-//!   frontier `F = (R·D·R) ∧ ¬R`, so the repair is
-//!   `R ← R ∪ F⁺` — two launches when the batch creates nothing new,
-//!   a short [`DistMatrix::closure_delta`] over the (small) frontier
-//!   when it does;
-//! * **deletions** `D` over-delete in one shot, DRed-style: the exact
-//!   set of pairs with *some* derivation through a deleted edge is
-//!   `O = (R·D·R) ∧ R` (no fixpoint needed — `R` is already closed),
-//!   the diagonal is exempt (reflexivity is unconditional), pairs
-//!   outside `O` are untouched, and the survivors are rederived from
-//!   `T ∪ (A' ∧ O)` by masked squaring.
-//!
-//! When the frontier (or over-delete set) exceeds a configurable
-//! fraction of `R`, the view abandons the incremental path and
-//! recomputes from scratch — a big-enough batch makes recompute the
-//! cheaper schedule.
+//! A batch with any **deletion** recomputes once from the updated
+//! adjacency: finding which pairs lost their last derivation (DRed's
+//! over-delete and rederive) measured slower and larger than the
+//! recompute it often fell back to anyway (EXPERIMENTS.md, lever
+//! verdicts).
 
 use spbla_core::{Pair, Result};
 use spbla_multidev::{DeviceGrid, DistMatrix};
@@ -29,8 +24,9 @@ use spbla_multidev::{DeviceGrid, DistMatrix};
 /// How the view reacts to an update batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintainMode {
-    /// Semi-naïve frontier restart for inserts, DRed over-delete and
-    /// rederive for deletes, with automatic fallback (default).
+    /// Semi-naïve frontier restart for insert-only batches with
+    /// automatic fallback, one recompute for a batch that deletes
+    /// (default).
     #[default]
     Incremental,
     /// Recompute the closure from the updated adjacency every batch
@@ -43,9 +39,9 @@ pub enum MaintainMode {
 pub struct MaintainConfig {
     /// Maintenance strategy.
     pub mode: MaintainMode,
-    /// Incremental-path escape hatch: when the insert frontier or the
-    /// over-delete set grows past `fallback_fraction · nnz(R)`, fall
-    /// back to a full recompute for that batch.
+    /// Incremental-path escape hatch: when the insert frontier grows
+    /// past `fallback_fraction · nnz(R)`, fall back to a full recompute
+    /// for that batch.
     pub fallback_fraction: f64,
 }
 
@@ -65,12 +61,10 @@ pub struct MaintainStats {
     pub batches: u64,
     /// Batches absorbed by the incremental insert path.
     pub incremental_inserts: u64,
-    /// Batches absorbed by the DRed delete path.
-    pub dred_deletes: u64,
     /// Incremental attempts abandoned for a full recompute because the
     /// touched frontier exceeded the threshold.
     pub fallbacks: u64,
-    /// Full recomputes (mode, fallback, or initial build).
+    /// Full recomputes (mode, deleting batch, or fallback).
     pub recomputes: u64,
 }
 
@@ -140,22 +134,16 @@ impl ClosureView {
     /// what [`crate::AppliedBatch`] reports for the label union.
     pub fn apply(&mut self, inserted: &[Pair], deleted: &[Pair]) -> Result<()> {
         self.stats.batches += 1;
-        if self.config.mode == MaintainMode::Recompute {
-            self.adjacency = self.adjacency.apply_updates(inserted, deleted)?;
-            return self.recompute();
+        let recompute = self.config.mode == MaintainMode::Recompute || !deleted.is_empty();
+        if !recompute && inserted.is_empty() {
+            return Ok(());
         }
-        // Deletions first: DRed runs against the pre-insert adjacency,
-        // then the insert pass tops the repaired closure up. The two
-        // sets are disjoint, so the order is semantically free.
-        if !deleted.is_empty() {
-            self.adjacency = self.adjacency.apply_updates(&[], deleted)?;
-            self.delete_pass(deleted)?;
+        self.adjacency = self.adjacency.apply_updates(inserted, deleted)?;
+        if recompute {
+            self.recompute()
+        } else {
+            self.insert_pass(inserted)
         }
-        if !inserted.is_empty() {
-            self.adjacency = self.adjacency.apply_updates(inserted, &[])?;
-            self.insert_pass(inserted)?;
-        }
-        Ok(())
     }
 
     /// Full rebuild: `R = A⁺ ∪ I` from the current adjacency.
@@ -210,47 +198,6 @@ impl ClosureView {
         }
         self.closure = c;
         self.stats.incremental_inserts += 1;
-        Ok(())
-    }
-
-    /// DRed: one-shot over-delete, then rederive by masked squaring.
-    fn delete_pass(&mut self, deleted: &[Pair]) -> Result<()> {
-        let grid = self.closure.grid().clone();
-        let (n, _) = self.closure.shape();
-        let d = DistMatrix::from_pairs(&grid, n, n, deleted)?;
-        // O = (R·D·R) ∧ R, minus the diagonal: exactly the pairs with
-        // some derivation through a deleted edge. One shot — R closed
-        // means every such derivation factors as in-R · deleted · in-R.
-        let l = self.closure.mxm(&d)?;
-        let over = l
-            .mxm_masked(&self.closure, &self.closure)?
-            .ewise_andnot(&self.identity)?;
-        if over.is_empty() {
-            // No closure pair ever routed through a deleted edge.
-            self.stats.dred_deletes += 1;
-            return Ok(());
-        }
-        if self.exceeds_fallback(over.nnz()) {
-            self.stats.fallbacks += 1;
-            return self.recompute();
-        }
-        // Certainly-valid pairs: everything outside O, plus surviving
-        // adjacency edges inside O. This sandwich `A' ∪ I ⊆ C ⊆ R'`
-        // makes the masked squaring below converge to exactly R'.
-        let keep = self.closure.ewise_andnot(&over)?;
-        let seeds = self.adjacency.ewise_mult(&over)?;
-        let mut c = keep.ewise_add(&seeds)?;
-        loop {
-            // Fused masked squaring: accumulate `(C·C) ∧ ¬C` into C and
-            // read the growth signal off the kernel.
-            let step = c.mxm_accum_compmask(&c, &c, false)?;
-            if step.fresh_nnz == 0 {
-                break;
-            }
-            c = step.acc;
-        }
-        self.closure = c;
-        self.stats.dred_deletes += 1;
         Ok(())
     }
 
@@ -335,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_path_matches_oracle() {
+    fn delete_batch_recomputes_once_and_matches_oracle() {
         for devices in [1, 2] {
             let grid = grid(devices);
             let n = 6;
@@ -349,47 +296,47 @@ mod tests {
                 p.sort_unstable();
                 p
             };
-            // A huge fallback budget forces the DRed path proper.
-            let cfg = MaintainConfig {
-                fallback_fraction: 10.0,
-                ..MaintainConfig::default()
-            };
-            let mut view = ClosureView::new(&grid, n, &pairs, cfg).unwrap();
+            let mut view = ClosureView::new(&grid, n, &pairs, MaintainConfig::default()).unwrap();
 
             view.apply(&[], &[(1, 2)]).unwrap();
             edges.remove(&(1, 2));
             check_against_oracle(&view, n, &edges);
-            assert_eq!(view.stats().dred_deletes, 1);
-            assert_eq!(view.stats().recomputes, 0);
+            assert_eq!(view.stats().recomputes, 1);
 
             // Now cut the cycle for real.
             view.apply(&[], &[(3, 0)]).unwrap();
             edges.remove(&(3, 0));
             check_against_oracle(&view, n, &edges);
+            let stats = view.stats();
+            assert_eq!(stats.recomputes, 2);
+            assert_eq!(stats.fallbacks, 0);
+            assert_eq!(stats.incremental_inserts, 0);
         }
     }
 
     #[test]
     fn mixed_batch_and_self_loop_delete() {
-        let grid = grid(2);
-        let n = 5;
-        let mut edges: FxHashSet<Pair> = [(0, 0), (0, 1), (1, 2)].into_iter().collect();
-        let pairs: Vec<Pair> = {
-            let mut p: Vec<Pair> = edges.iter().copied().collect();
-            p.sort_unstable();
-            p
-        };
-        let cfg = MaintainConfig {
-            fallback_fraction: 10.0,
-            ..MaintainConfig::default()
-        };
-        let mut view = ClosureView::new(&grid, n, &pairs, cfg).unwrap();
-        // Delete a self-loop (the diagonal must survive — closure is
-        // reflexive by definition) and insert elsewhere, same batch.
-        view.apply(&[(2, 3)], &[(0, 0)]).unwrap();
-        edges.remove(&(0, 0));
-        edges.insert((2, 3));
-        check_against_oracle(&view, n, &edges);
+        for devices in [1, 2] {
+            let grid = grid(devices);
+            let n = 5;
+            let mut edges: FxHashSet<Pair> = [(0, 0), (0, 1), (1, 2)].into_iter().collect();
+            let pairs: Vec<Pair> = {
+                let mut p: Vec<Pair> = edges.iter().copied().collect();
+                p.sort_unstable();
+                p
+            };
+            let mut view = ClosureView::new(&grid, n, &pairs, MaintainConfig::default()).unwrap();
+            // Delete a self-loop (the diagonal must survive — closure is
+            // reflexive by definition) and insert elsewhere, same batch:
+            // the whole batch lands in the adjacency, then one recompute.
+            view.apply(&[(2, 3)], &[(0, 0)]).unwrap();
+            edges.remove(&(0, 0));
+            edges.insert((2, 3));
+            check_against_oracle(&view, n, &edges);
+            let stats = view.stats();
+            assert_eq!(stats.recomputes, 1);
+            assert_eq!(stats.incremental_inserts, 0);
+        }
     }
 
     #[test]

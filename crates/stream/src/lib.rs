@@ -11,10 +11,10 @@
 //!   batches, label matrices are rebuilt shard-locally and shared
 //!   across versions when untouched, and unpinned history is pruned;
 //! * [`ClosureView`] / [`RpqView`]: incrementally maintained answers.
-//!   Insertions seed a semi-naïve restart from the new-edge frontier,
-//!   deletions run a DRed-style over-delete-then-rederive pass, and
-//!   both fall back to a full recompute when the touched frontier
-//!   outgrows a threshold ([`MaintainConfig`]);
+//!   Insert-only batches seed a semi-naïve restart from the new-edge
+//!   frontier, falling back to a full recompute when the touched
+//!   frontier outgrows a threshold ([`MaintainConfig`]); a batch that
+//!   deletes recomputes once;
 //! * [`SccView`]: an incrementally maintained SCC condensation for the
 //!   planner's condensed-closure preprocessing — inserts merge
 //!   components via a component-graph Tarjan, intra-component deletes

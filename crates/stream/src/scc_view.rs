@@ -2,8 +2,8 @@
 //!
 //! The planner's condensed-closure preprocessing wants the current
 //! [`Condensation`] at every version without re-running Tarjan over the
-//! whole vertex set per batch. The maintenance rule mirrors the DRed
-//! asymmetry the closure view uses:
+//! whole vertex set per batch. The maintenance rule mirrors the
+//! insert/delete asymmetry of the closure view:
 //!
 //! * **Inserts** can only *merge* components — the new partition is the
 //!   SCC partition of the component graph, so

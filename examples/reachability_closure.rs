@@ -7,7 +7,7 @@
 use spbla_core::{CooBool, CsrBool, Instance, Matrix};
 use spbla_data::rdf::geospecies_like;
 use spbla_graph::bfs::{bfs_levels, reachable_set};
-use spbla_graph::closure::closure_squaring;
+use spbla_graph::closure::closure_delta;
 use spbla_lang::SymbolTable;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     let inst = Instance::cuda_sim();
     let hierarchy = graph.label_matrix(&inst, bt).expect("upload");
     let t0 = std::time::Instant::now();
-    let ancestors = closure_squaring(&hierarchy).expect("closure");
+    let ancestors = closure_delta(&hierarchy).expect("closure");
     println!(
         "broaderTransitive closure: {} → {} pairs in {:.2?}",
         hierarchy.nnz(),

@@ -11,7 +11,7 @@
 use spbla_core::{Instance, Matrix};
 use spbla_generic::spmv::min_plus_sssp;
 use spbla_generic::{spgemm, CsrMatrix, MinPlusU32, PlusTimesU64};
-use spbla_graph::closure::closure_squaring;
+use spbla_graph::closure::closure_delta;
 
 fn main() {
     // A small weighted road network: (from, to, minutes).
@@ -30,7 +30,7 @@ fn main() {
     let inst = Instance::cuda_sim();
     let pattern: Vec<(u32, u32)> = roads.iter().map(|&(u, v, _)| (u, v)).collect();
     let adj = Matrix::from_pairs(&inst, n, n, &pattern).expect("adjacency");
-    let closure = closure_squaring(&adj).expect("closure");
+    let closure = closure_delta(&adj).expect("closure");
     println!("reachable pairs (Boolean semiring): {:?}", closure.read());
 
     // 2. Min-plus shortest paths.

@@ -13,7 +13,7 @@ use spbla_data::lubm::{lubm_like, LubmConfig};
 use spbla_engine::{Engine, EngineConfig, EngineError, Query, QueryResult};
 use spbla_graph::cfpq::azimov::{AzimovIndex, AzimovOptions};
 use spbla_graph::closure::closure_delta;
-use spbla_graph::rpq_batch::rpq_from_each_source_nfa;
+use spbla_graph::rpq_bfs::rpq_from_sources_nfa;
 use spbla_graph::{LabeledGraph, RpqIndex, RpqOptions};
 use spbla_lang::dfa::Dfa;
 use spbla_lang::glushkov::glushkov;
@@ -61,7 +61,10 @@ fn sequential_oracle() -> Expected {
     let sources: Vec<u32> = (0..24).map(|i| (i * 17) % graph.n_vertices()).collect();
     let r = Regex::parse(SRC_TEMPLATE, &mut table).unwrap();
     let nfa = minimize(&Dfa::from_nfa(&glushkov(&r)));
-    let reachable = rpq_from_each_source_nfa(&graph, &nfa, &sources, &inst).unwrap();
+    let reachable = sources
+        .iter()
+        .map(|&s| rpq_from_sources_nfa(&graph, &nfa, &[s], &inst).unwrap())
+        .collect();
     let g = Grammar::parse(CFPQ_GRAMMAR, &mut table).unwrap();
     let idx = AzimovIndex::build(
         &graph,
@@ -171,14 +174,6 @@ fn concurrent_mixed_load_is_bit_identical_to_sequential() {
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.rejected, 0);
         assert!(stats.queue_depth_hwm >= 1);
-        // On one device the queue necessarily backs up behind the
-        // single worker, so the early same-plan single-source burst
-        // must have coalesced. (On wider grids batching is
-        // timing-dependent; the deterministic check lives in the
-        // engine crate's own tests.)
-        if n_devices == 1 {
-            assert!(stats.batches >= 1, "no batching: {stats:?}");
-        }
     }
 }
 
@@ -253,7 +248,6 @@ fn tiered_admission_boundaries_are_exact() {
         EngineConfig {
             queue_capacity: 8,
             batch_admission_fraction: 0.75,
-            batching: false,
             ..EngineConfig::default()
         },
     );
@@ -283,9 +277,12 @@ fn tiered_admission_boundaries_are_exact() {
         t.wait().result.expect("admitted requests complete");
     }
     let stats = engine.shutdown();
-    assert_eq!(stats.rejected, 2);
     assert_eq!(stats.rejected_interactive, 1);
     assert_eq!(stats.rejected_batch, 1);
+    assert_eq!(
+        stats.rejected,
+        stats.rejected_interactive + stats.rejected_batch
+    );
     assert_eq!(stats.completed, 9);
 
     // fraction 0.0: clamped to one batch slot, so an idle engine still
@@ -295,7 +292,6 @@ fn tiered_admission_boundaries_are_exact() {
         EngineConfig {
             queue_capacity: 4,
             batch_admission_fraction: 0.0,
-            batching: false,
             ..EngineConfig::default()
         },
     );
@@ -323,7 +319,6 @@ fn tiered_admission_boundaries_are_exact() {
         EngineConfig {
             queue_capacity: 2,
             batch_admission_fraction: 1.0,
-            batching: false,
             ..EngineConfig::default()
         },
     );
@@ -358,7 +353,6 @@ fn overload_rejects_cleanly() {
         1,
         EngineConfig {
             queue_capacity: 2,
-            batching: false,
             ..EngineConfig::default()
         },
     );
@@ -424,7 +418,6 @@ fn cancellation_is_typed() {
     let engine = engine_on(
         1,
         EngineConfig {
-            batching: false,
             ..EngineConfig::default()
         },
     );
@@ -448,52 +441,49 @@ fn cancellation_is_typed() {
     assert_eq!(stats.cancelled, 1);
 }
 
-/// Two clients submit coalescible same-plan single-source RPQs behind a
-/// busy worker; one cancels while queued. The cancelled ticket must
-/// finish typed `Cancelled` with *zero* launch/byte deltas, and the
-/// surviving ticket's `RequestMetrics` must equal a solo reference run
-/// — the batch sweep must not pull a cancelled request into the batch
-/// and attribute the batch's work to it (or inflate the survivor's).
-#[test]
-fn cancelled_batch_member_does_not_skew_survivors() {
-    let submit_src = |engine: &Engine, source: u32| {
-        engine
-            .submit(
-                "lubm",
-                Query::RpqFromSource {
-                    text: SRC_TEMPLATE.into(),
-                    source,
-                },
-            )
-            .unwrap()
-    };
-
-    // Reference: the survivor's launches when served strictly solo,
-    // with residency warmed the same way (closure first).
-    let reference = {
-        let engine = engine_on(
-            1,
-            EngineConfig {
-                batching: false,
-                ..EngineConfig::default()
+fn submit_src(engine: &Engine, source: u32) -> spbla_engine::Ticket {
+    engine
+        .submit(
+            "lubm",
+            Query::RpqFromSource {
+                text: SRC_TEMPLATE.into(),
+                source,
             },
-        );
-        engine
-            .submit("lubm", Query::Closure)
-            .unwrap()
-            .wait()
-            .result
-            .unwrap();
-        let done = submit_src(&engine, 3).wait();
-        done.result.unwrap();
-        engine.shutdown();
-        done.metrics.launches
-    };
+        )
+        .unwrap()
+}
+
+/// Launches each of `sources` costs when served strictly solo on one
+/// device, residency warmed by a closure first.
+fn solo_launches(sources: &[u32]) -> Vec<u64> {
+    let engine = engine_on(1, EngineConfig::default());
+    engine
+        .submit("lubm", Query::Closure)
+        .unwrap()
+        .wait()
+        .result
+        .unwrap();
+    let launches = sources
+        .iter()
+        .map(|&s| {
+            let done = submit_src(&engine, s).wait();
+            done.result.unwrap();
+            done.metrics.launches
+        })
+        .collect();
+    engine.shutdown();
+    launches
+}
+
+/// Two clients submit same-plan single-source RPQs behind a busy
+/// worker; one cancels while queued. The cancelled ticket must finish
+/// typed `Cancelled` with *zero* launch/byte deltas, and the surviving
+/// ticket's `RequestMetrics` must equal a solo reference run.
+#[test]
+fn cancelled_queued_request_does_not_skew_survivors() {
+    let reference = solo_launches(&[3])[0];
     assert!(reference > 0, "solo reference run launched nothing");
 
-    // Race under batching: both requests queue behind the closure and
-    // are coalescible (same graph, plan key, version, no deadline);
-    // client B cancels while queued.
     let engine = engine_on(1, EngineConfig::default());
     let busy = engine.submit("lubm", Query::Closure).unwrap();
     let survivor = submit_src(&engine, 3); // client A
@@ -505,23 +495,46 @@ fn cancelled_batch_member_does_not_skew_survivors() {
     assert!(matches!(cancelled.result, Err(EngineError::Cancelled)));
     assert_eq!(
         cancelled.metrics.launches, 0,
-        "cancelled member was charged for batch work"
+        "cancelled request was charged for work"
     );
     assert_eq!(cancelled.metrics.h2d_bytes, 0);
-    assert_eq!(cancelled.metrics.batch_size, 1);
 
     let served = survivor.wait();
     assert!(served.result.is_ok());
-    assert_eq!(served.metrics.batch_size, 1);
     assert_eq!(
         served.metrics.launches, reference,
-        "survivor's metrics skewed by a cancelled batch member"
+        "survivor's metrics skewed by a cancelled neighbour"
     );
 
     let stats = engine.shutdown();
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.completed, 2); // busy + survivor
-    assert_eq!(stats.batches, 0, "a cancelled request was coalesced");
+}
+
+/// Per-request accounting is additive: same-plan single-source requests
+/// queued together behind a busy worker each report exactly a solo
+/// run's launches, and all requests' launches sum to the device's.
+#[test]
+fn queued_same_plan_requests_account_like_solo_runs() {
+    let sources: Vec<u32> = (0..6).map(|i| i * 17).collect();
+    let solo = solo_launches(&sources);
+
+    let engine = engine_on(1, EngineConfig::default());
+    let busy = engine.submit("lubm", Query::Closure).unwrap();
+    let tickets: Vec<_> = sources.iter().map(|&s| submit_src(&engine, s)).collect();
+
+    let busy = busy.wait();
+    busy.result.expect("closure completes");
+    let mut total = busy.metrics.launches;
+    for (ticket, want) in tickets.into_iter().zip(&solo) {
+        let done = ticket.wait();
+        done.result.expect("single-source RPQ completes");
+        assert_eq!(done.metrics.launches, *want);
+        total += done.metrics.launches;
+    }
+    let stats = engine.shutdown();
+    assert_eq!(stats.devices[0].launches, total);
+    assert_eq!(stats.batched_requests, 0);
 }
 
 /// Unknown graphs and malformed queries fail fast at submit.

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use spbla_core::{CsrBool, Instance, Matrix};
-use spbla_graph::closure::{closure_delta, closure_delta_on_devices};
+use spbla_graph::closure::{closure_delta, closure_delta_dist};
 use spbla_lang::SymbolTable;
 use spbla_multidev::{DeviceGrid, DistMatrix};
 
@@ -194,7 +194,8 @@ fn lubm_closure_identical_on_1_2_4_8_devices() {
     let a = Matrix::from_csr(&inst, csr.clone()).unwrap();
     let expect = closure_delta(&a).unwrap().read();
     for devices in [1usize, 2, 4, 8] {
-        let (closure, grid) = closure_delta_on_devices(&csr, devices).unwrap();
+        let grid = DeviceGrid::new(devices);
+        let closure = closure_delta_dist(&csr, &grid).unwrap();
         assert_eq!(closure.to_pairs(), expect, "{devices} devices");
         if devices > 1 {
             assert!(grid.total_stats().d2d_bytes > 0, "rounds were not metered");

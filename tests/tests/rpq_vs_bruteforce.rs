@@ -4,9 +4,10 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-use spbla_core::Instance;
-use spbla_graph::rpq::{AutomatonKind, ClosureKind, RpqIndex, RpqOptions};
+use spbla_core::{Backend, Instance, Matrix};
+use spbla_graph::rpq::{rpq_pairs_from_mats, AutomatonKind, RpqIndex, RpqOptions};
 use spbla_graph::LabeledGraph;
+use spbla_integration::all_backends;
 use spbla_lang::glushkov::glushkov;
 use spbla_lang::{Nfa, Regex, Symbol, SymbolTable};
 
@@ -75,7 +76,6 @@ proptest! {
     fn rpq_matches_bruteforce(
         edges in proptest::collection::vec((0u32..8, 0u8..3, 0u32..8), 0..24),
         which in 0u8..8,
-        closure_kind in 0u8..2,
         automaton_kind in 0u8..4,
     ) {
         let mut table = SymbolTable::new();
@@ -88,7 +88,6 @@ proptest! {
         let nfa = glushkov(&regex);
         let expect = brute_force_pairs(&graph, &nfa);
         let options = RpqOptions {
-            closure: if closure_kind == 0 { ClosureKind::Squaring } else { ClosureKind::SingleStep },
             automaton: match automaton_kind {
                 0 => AutomatonKind::Glushkov,
                 1 => AutomatonKind::Thompson,
@@ -104,6 +103,49 @@ proptest! {
                 "query {:?} backend {:?}",
                 which,
                 inst.backend()
+            );
+        }
+    }
+
+    /// The host-graph entry and the resident-matrices entry assemble
+    /// the same index: pair-for-pair agreement on every backend and on
+    /// blocked storage. The graph never has a `c` edge, so four of the
+    /// eight regexes name a label the graph lacks (absent from the
+    /// resident map, or present with an empty matrix), and `a*` and
+    /// `a? . b*` accept ε.
+    #[test]
+    fn host_and_resident_entries_agree(
+        edges in proptest::collection::vec((0u32..8, 0u8..2, 0u32..8), 0..24),
+        which in 0u8..8,
+        empty_c_resident in any::<bool>(),
+    ) {
+        let mut table = SymbolTable::new();
+        let syms: Vec<Symbol> = ["a", "b", "c"].iter().map(|l| table.intern(l)).collect();
+        let regex = small_regex(&mut table, which);
+        let graph = LabeledGraph::from_triples(
+            8,
+            edges.iter().map(|&(u, l, v)| (u, syms[l as usize], v)),
+        );
+        let nfa = glushkov(&regex);
+        let mut instances = all_backends();
+        instances.push(Instance::blocked(Backend::CudaSim));
+        for inst in instances {
+            let host = RpqIndex::build(&graph, &regex, &inst, &RpqOptions::default())
+                .unwrap()
+                .reachable_pairs()
+                .unwrap();
+            let mut mats = graph.matrices(&inst).unwrap();
+            if empty_c_resident {
+                mats.insert(syms[2], Matrix::zeros(&inst, 8, 8).unwrap());
+            }
+            let resident = rpq_pairs_from_mats(&mats, 8, &nfa, &inst).unwrap();
+            prop_assert_eq!(
+                resident,
+                host,
+                "query {:?} backend {:?} blocked {}",
+                which,
+                inst.backend(),
+                inst.is_blocked()
             );
         }
     }

@@ -3,10 +3,10 @@
 //! maintained closure and RPQ views must be bit-identical (checksummed)
 //! to per-batch from-scratch recomputation at every version, on 1- and
 //! 2-device grids. Maintenance-path coverage is steered through
-//! `fallback_fraction`: a huge budget forces the semi-naïve insert and
-//! DRed delete paths proper, a zero budget forces the fallback escape
-//! hatch on every non-trivial batch, and both must agree with the
-//! recompute baseline version by version.
+//! `fallback_fraction`: a huge budget forces the semi-naïve insert
+//! path proper, a zero budget forces the fallback escape hatch on every
+//! non-trivial insert batch, and both must agree with the recompute
+//! baseline version by version. A batch that deletes recomputes once.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,8 +73,8 @@ fn random_batches(
 fn configs() -> [(MaintainConfig, &'static str); 3] {
     [
         (
-            // Huge budget: the incremental insert and DRed delete paths
-            // proper, never the fallback.
+            // Huge budget: the incremental insert path proper, never
+            // the fallback.
             MaintainConfig {
                 mode: MaintainMode::Incremental,
                 fallback_fraction: 10.0,
@@ -82,8 +82,8 @@ fn configs() -> [(MaintainConfig, &'static str); 3] {
             "incremental",
         ),
         (
-            // Zero budget: every batch with a non-empty frontier or
-            // over-delete set falls back to a full recompute.
+            // Zero budget: every insert batch with a non-empty frontier
+            // falls back to a full recompute.
             MaintainConfig {
                 mode: MaintainMode::Incremental,
                 fallback_fraction: 0.0,
@@ -144,16 +144,43 @@ fn random_streams_match_recompute_at_every_version() {
             );
             let recompute = &runs[2].1;
             assert_eq!(recompute.incremental_inserts, 0);
-            assert_eq!(recompute.dred_deletes, 0);
         }
     }
 }
 
+/// Host oracle: sorted pairs of the reflexive-transitive closure of
+/// `graph`'s label union, by one DFS per source.
+fn host_reflexive_closure(graph: &LabeledGraph, labels: &[Symbol]) -> Vec<(u32, u32)> {
+    let n = graph.n_vertices();
+    let mut succ = vec![Vec::new(); n as usize];
+    for &label in labels {
+        for &(u, v) in graph.edges_of(label) {
+            succ[u as usize].push(v);
+        }
+    }
+    let mut out = Vec::new();
+    for source in 0..n {
+        let mut seen = vec![false; n as usize];
+        seen[source as usize] = true;
+        let mut stack = vec![source];
+        while let Some(u) = stack.pop() {
+            for &v in &succ[u as usize] {
+                if !std::mem::replace(&mut seen[v as usize], true) {
+                    stack.push(v);
+                }
+            }
+        }
+        out.extend((0..n).filter(|&v| seen[v as usize]).map(|v| (source, v)));
+    }
+    out
+}
+
 #[test]
-fn dred_delete_path_is_exercised_and_agrees() {
+fn delete_batches_recompute_once_and_match_the_host_oracle() {
     // A delete-heavy stream on a dense-ish graph: every batch removes
-    // existing edges, so the forced-incremental run must absorb real
-    // over-deletions through DRed and still match recompute.
+    // an existing edge, so every batch is absorbed by exactly one
+    // recompute — even under a budget that would keep any insert
+    // frontier incremental — and lands on the host closure.
     let mut rng = StdRng::seed_from_u64(0xD12ED);
     let mut table = SymbolTable::new();
     let a = table.intern("a");
@@ -169,6 +196,7 @@ fn dred_delete_path_is_exercised_and_agrees() {
 
     let mut mirror = graph.clone();
     let mut batches = Vec::new();
+    let mut oracle = Vec::new();
     for _ in 0..8 {
         let mut batch = UpdateBatch::new();
         let edges = mirror.edges_of(a);
@@ -176,6 +204,7 @@ fn dred_delete_path_is_exercised_and_agrees() {
         batch.delete(u, a, v);
         batch.apply_to(&mut mirror);
         batches.push(batch);
+        oracle.push(host_reflexive_closure(&mirror, &[a]));
     }
 
     for devices in [1, 2] {
@@ -183,15 +212,27 @@ fn dred_delete_path_is_exercised_and_agrees() {
             mode: MaintainMode::Incremental,
             fallback_fraction: 10.0,
         };
+        let grid = DeviceGrid::new(devices);
+        let mut stream = GraphStream::new(&grid, &graph).expect("store builds");
+        stream.track_closure(forced).expect("closure view builds");
+        for (i, batch) in batches.iter().enumerate() {
+            stream.apply(batch.clone()).expect("batch applies");
+            let view = stream.closure_view().expect("tracked");
+            assert_eq!(view.pairs(), oracle[i], "version {i}, {devices} devices");
+            assert_eq!(view.stats().recomputes, i as u64 + 1);
+        }
+        let stats = stream.closure_view().expect("tracked").stats();
+        assert_eq!(stats.fallbacks, 0);
+        assert_eq!(stats.incremental_inserts, 0);
+
+        // The RPQ view rides the same rule on the product space.
         let baseline = MaintainConfig {
             mode: MaintainMode::Recompute,
             fallback_fraction: 0.25,
         };
-        let (inc, stats) = replay(devices, &graph, &nfa, &batches, forced);
+        let (inc, _) = replay(devices, &graph, &nfa, &batches, forced);
         let (rec, _) = replay(devices, &graph, &nfa, &batches, baseline);
-        assert_eq!(inc, rec, "DRed diverged on {devices} devices");
-        assert!(stats.dred_deletes > 0, "stream must hit the DRed path");
-        assert_eq!(stats.recomputes, 0, "huge budget must stay incremental");
+        assert_eq!(inc, rec, "views diverged on {devices} devices");
     }
 }
 
@@ -243,13 +284,8 @@ fn seed_frontier_reanswer_launches_less_than_full_requery() {
     batch.apply_to(&mut mirror);
     let grid2 = DeviceGrid::new(1);
     let before2 = grid2.total_stats().launches;
-    let index = spbla_graph::RpqIndex::build_from_nfa(
-        &mirror,
-        &nfa,
-        grid2.instance(0),
-        &spbla_graph::RpqOptions::default(),
-    )
-    .expect("full re-query builds");
+    let index = spbla_graph::RpqIndex::build_from_nfa(&mirror, &nfa, grid2.instance(0))
+        .expect("full re-query builds");
     let full_pairs = index.reachable_pairs().expect("pairs extract");
     let full_launches = grid2.total_stats().launches - before2;
 
