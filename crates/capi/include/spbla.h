@@ -1,7 +1,9 @@
 /* spbla.h — C interface of the SPbLA Rust reproduction.
  *
  * Link against the `spbla_capi` static/cdylib build. All functions
- * return spbla_Status; out-parameters are written only on SPBLA_OK.
+ * return spbla_Status; out-parameters are written only on SPBLA_OK,
+ * with one exception: a trace or metrics dump into a too-short buffer
+ * returns SPBLA_ERROR, yet writes the required size to *len (see below).
  * Matrix reads use a two-call protocol: pass NULL buffers to query the
  * required capacity, then buffers of that capacity to receive data.
  */
@@ -169,6 +171,9 @@ spbla_Status spbla_Engine_Free(spbla_Engine engine);
  * dumps use the two-call protocol of spbla_Matrix_ExtractPairs: pass a
  * null buffer to learn the required size in *len (trailing NUL
  * included), then call again with a buffer of at least that size.
+ * Other threads may grow the trace or the registry between the two
+ * calls. A buffer that became too short gets SPBLA_ERROR, and *len
+ * holds the new required size: reallocate and retry until SPBLA_OK.
  * spbla_Trace_Enable(capacity) turns tracing on with a ring of
  * `capacity` spans (clearing any prior recording); capacity 0 turns it
  * off. spbla_Trace_Dump writes chrome://tracing JSON.

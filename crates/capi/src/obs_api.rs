@@ -2,7 +2,9 @@
 //! metric dumps. Both dumps use the two-call buffer protocol of
 //! `spbla_Matrix_ExtractPairs`: pass a null buffer to learn the required
 //! size (including the trailing NUL), then call again with a buffer of
-//! at least that size.
+//! at least that size. Other threads may grow the trace or the registry
+//! between the two calls, so a too-short buffer gets `Error` *with* the
+//! new required size in `*len`, and callers retry until `Ok`.
 
 use std::os::raw::c_char;
 
@@ -25,7 +27,8 @@ pub extern "C" fn spbla_Trace_Enable(capacity: usize) -> SpblaStatus {
 }
 
 /// Copy `text` out through the two-call protocol (`*len` is the buffer
-/// size in, the required size — NUL included — out).
+/// size in, the required size — NUL included — out, also when the buffer
+/// was too short and the call returns `Error`).
 unsafe fn dump_text(text: &str, buf: *mut c_char, len: *mut usize) -> SpblaStatus {
     if len.is_null() {
         return SpblaStatus::NullPointer;
@@ -36,6 +39,7 @@ unsafe fn dump_text(text: &str, buf: *mut c_char, len: *mut usize) -> SpblaStatu
         return SpblaStatus::Ok;
     }
     if *len < required {
+        *len = required;
         return SpblaStatus::Error;
     }
     std::ptr::copy_nonoverlapping(text.as_ptr(), buf.cast::<u8>(), text.len());
@@ -82,17 +86,27 @@ mod tests {
         spbla_MxM, SpblaBackend,
     };
 
+    /// The caller's side of the two-call protocol: size, then fill,
+    /// retrying with the size a too-short fill reports.
     unsafe fn dump_string(f: impl Fn(*mut c_char, *mut usize) -> SpblaStatus) -> String {
         let mut len = 0usize;
         assert_eq!(f(std::ptr::null_mut(), &mut len), SpblaStatus::Ok);
-        assert!(len >= 1);
-        let mut buf = vec![0u8; len];
-        assert_eq!(
-            f(buf.as_mut_ptr().cast::<c_char>(), &mut len),
-            SpblaStatus::Ok
-        );
-        assert_eq!(buf[len - 1], 0);
-        String::from_utf8(buf[..len - 1].to_vec()).unwrap()
+        for _ in 0..8 {
+            assert!(len >= 1);
+            let cap = len;
+            let mut buf = vec![0u8; cap];
+            match f(buf.as_mut_ptr().cast::<c_char>(), &mut len) {
+                SpblaStatus::Ok => {
+                    assert_eq!(buf[len - 1], 0, "dump is not NUL-terminated");
+                    return String::from_utf8(buf[..len - 1].to_vec()).unwrap();
+                }
+                SpblaStatus::Error => {
+                    assert!(len > cap, "a too-short fill reports the size it needs")
+                }
+                other => panic!("dump failed with {other:?}"),
+            }
+        }
+        panic!("dump still growing after 8 attempts")
     }
 
     #[test]
@@ -108,10 +122,12 @@ mod tests {
         let mut c = 0u64;
         assert_eq!(unsafe { spbla_MxM(m, m, &mut c) }, SpblaStatus::Ok);
 
+        // Stop recording before dumping: launches on other test threads
+        // would otherwise keep growing the trace while it renders.
+        assert_eq!(spbla_Trace_Enable(0), SpblaStatus::Ok);
         let json = unsafe { dump_string(|b, l| spbla_Trace_Dump(b, l)) };
         assert!(json.contains("\"traceEvents\""), "{json}");
         assert!(json.contains("\"cat\":\"kernel\""), "{json}");
-        assert_eq!(spbla_Trace_Enable(0), SpblaStatus::Ok);
 
         spbla_Matrix_Free(m);
         spbla_Matrix_Free(c);
@@ -137,6 +153,59 @@ mod tests {
     }
 
     #[test]
+    fn metrics_dump_is_whole_while_another_thread_grows_the_registry() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+
+        /// Stops the launching thread even when an assertion fails.
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+
+        let start = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut inst = 0u64;
+                unsafe { spbla_Initialize(SpblaBackend::CudaSim, &mut inst) };
+                let rows = [0u32, 1, 2];
+                let cols = [1u32, 2, 3];
+                start.wait();
+                for k in 0.. {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    // A new device adds registry cells; launches widen
+                    // counter values. Capped so the dumps stay small.
+                    if k < 32 {
+                        let mut extra = 0u64;
+                        unsafe { spbla_Initialize(SpblaBackend::CudaSim, &mut extra) };
+                        spbla_Finalize(extra);
+                    }
+                    let mut m = 0u64;
+                    unsafe { spbla_Matrix_New(inst, 4, 4, &mut m) };
+                    unsafe { spbla_Matrix_Build(m, rows.as_ptr(), cols.as_ptr(), 3) };
+                    let mut c = 0u64;
+                    unsafe { spbla_MxM(m, m, &mut c) };
+                    spbla_Matrix_Free(m);
+                    spbla_Matrix_Free(c);
+                }
+                spbla_Finalize(inst);
+            });
+            let _stop = Stop(&done);
+            start.wait();
+            for _ in 0..1000 {
+                let json = unsafe { dump_string(|b, l| spbla_Metrics_Dump(1, b, l)) };
+                assert!(!json.contains('\0'), "dump holds an interior NUL");
+                assert!(json.starts_with('[') && json.ends_with(']'), "torn dump");
+            }
+        });
+    }
+
+    #[test]
     fn dump_rejects_null_len_and_short_buffers() {
         assert_eq!(
             unsafe { spbla_Trace_Dump(std::ptr::null_mut(), std::ptr::null_mut()) },
@@ -148,5 +217,6 @@ mod tests {
             unsafe { spbla_Trace_Dump(&mut byte, &mut one) },
             SpblaStatus::Error
         );
+        assert!(one > 1, "a short buffer learns the required size");
     }
 }

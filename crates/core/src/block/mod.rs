@@ -244,21 +244,24 @@ impl BlockMatrix {
         for &(k, ref a_tile) in &self.rows[bi] {
             let mut aw = [0u64; TILE];
             a_tile.write_into(&mut aw);
+            // The A tile's non-empty rows, found once per A tile: the
+            // loop over B tiles below visits only these.
+            let live = a_tile.rows_mask();
             for &(j, ref b_tile) in &b.rows[k as usize] {
                 let mut bw = [0u64; TILE];
                 b_tile.write_into(&mut bw);
-                let base = j as usize * TILE;
-                for (r, &arow) in aw.iter().enumerate() {
-                    let mut bits = arow;
-                    if bits == 0 {
-                        continue;
-                    }
-                    let mut acc = strip[base + r];
+                let out = strip_words_mut(strip, j as usize);
+                let mut rows = live;
+                while rows != 0 {
+                    let r = rows.trailing_zeros() as usize;
+                    rows &= rows - 1;
+                    let mut bits = aw[r];
+                    let mut acc = out[r];
                     while bits != 0 {
                         acc |= bw[bits.trailing_zeros() as usize];
                         bits &= bits - 1;
                     }
-                    strip[base + r] = acc;
+                    out[r] = acc;
                 }
             }
         }

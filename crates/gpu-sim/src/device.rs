@@ -63,12 +63,6 @@ pub struct DeviceConfig {
     /// fail a debug assertion (kernels are expected to bin their work so
     /// shared tables fit, mirroring Nsparse). Defaults to 48 KiB.
     pub shared_mem_per_block: usize,
-    /// When true, the device runs its launches on a dedicated thread
-    /// pool of `sm_count` workers instead of the global pool — this
-    /// makes `sm_count` the device's actual compute width, enabling
-    /// strong-scaling experiments ("how fast would a device with k SMs
-    /// run this"). Defaults to false (global pool).
-    pub dedicated_pool: bool,
 }
 
 impl Default for DeviceConfig {
@@ -80,7 +74,6 @@ impl Default for DeviceConfig {
                 .unwrap_or(8),
             default_block_dim: 128,
             shared_mem_per_block: 48 << 10,
-            dedicated_pool: false,
         }
     }
 }
@@ -115,7 +108,6 @@ pub struct DeviceStats {
 
 pub(crate) struct DeviceInner {
     pub(crate) config: DeviceConfig,
-    pub(crate) pool: Option<rayon::ThreadPool>,
     /// Fast-path flag: launches only take the `stop` lock when armed.
     stop_armed: AtomicBool,
     stop: parking_lot::Mutex<Option<crate::stop::StopToken>>,
@@ -263,16 +255,6 @@ impl Default for Device {
 impl Device {
     /// Create a device with the given configuration.
     pub fn new(config: DeviceConfig) -> Self {
-        let pool = if config.dedicated_pool {
-            Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(config.sm_count.max(1) as usize)
-                    .build()
-                    .expect("dedicated device pool builds"),
-            )
-        } else {
-            None
-        };
         let ordinal = NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed);
         let dev = ordinal.to_string();
         let reg = metrics_global();
@@ -280,7 +262,6 @@ impl Device {
         Device {
             inner: Arc::new(DeviceInner {
                 config,
-                pool,
                 stop_armed: AtomicBool::new(false),
                 stop: parking_lot::Mutex::new(None),
                 ordinal,
@@ -413,24 +394,6 @@ mod tests {
         assert!(matches!(err, DeviceError::OutOfMemory { .. }));
         // The failed allocation must not be charged.
         assert_eq!(dev.stats().bytes_in_use, 64);
-    }
-
-    #[test]
-    fn dedicated_pool_width_matches_sm_count() {
-        let dev = Device::new(DeviceConfig {
-            sm_count: 3,
-            dedicated_pool: true,
-            ..DeviceConfig::default()
-        });
-        let width = dev
-            .inner
-            .pool
-            .as_ref()
-            .expect("pool built")
-            .current_num_threads();
-        assert_eq!(width, 3);
-        // Default devices share the global pool.
-        assert!(Device::default().inner.pool.is_none());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Bulk-synchronous kernel launches.
 //!
 //! A launch executes `grid` blocks, each logically running `block_dim`
-//! threads. Blocks execute in parallel on the CPU pool; threads within a
-//! block execute sequentially inside each barrier-delimited phase (see
-//! [`BlockCtx::for_threads`]), which models `__syncthreads` semantics and
-//! makes shared-memory updates deterministic.
+//! threads. Blocks execute in parallel on the process-wide CPU pool (the
+//! launching thread plus parked workers, claiming blocks in chunks);
+//! threads within a block execute sequentially inside each
+//! barrier-delimited phase (see [`BlockCtx::for_threads`]), which models
+//! `__syncthreads` semantics and makes shared-memory updates
+//! deterministic.
 //!
 //! Output discipline: GPU sparse kernels write results at offsets
 //! precomputed by a scan (that is the whole point of two-pass symbolic /
@@ -161,26 +163,17 @@ impl Device {
         Ok(())
     }
 
-    /// Execute `f` on the device's compute pool (dedicated `sm_count`
-    /// workers when configured, the global pool otherwise).
-    pub(crate) fn run<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        match &self.inner.pool {
-            Some(pool) => pool.install(f),
-            None => f(),
-        }
-    }
-
-    /// [`Device::run`], recording a `kernel` span when tracing is on.
-    /// Every launch entry point funnels through here after its
-    /// `count_launch`, so the trace carries exactly one kernel span per
-    /// counted launch — the invariant the `spbla trace` export relies on.
-    fn traced_run<R: Send>(&self, cfg: LaunchCfg, f: impl FnOnce() -> R + Send) -> R {
+    /// Run `f`, recording a `kernel` span when tracing is on. Every
+    /// launch entry point funnels through here after its `count_launch`,
+    /// so the trace carries exactly one kernel span per counted launch —
+    /// the invariant the `spbla trace` export relies on.
+    fn traced_run<R>(&self, cfg: LaunchCfg, f: impl FnOnce() -> R) -> R {
         let t = spbla_obs::trace_global();
         if !t.is_enabled() {
-            return self.run(f);
+            return f();
         }
         let start = t.now_ns();
-        let out = self.run(f);
+        let out = f();
         t.leaf(
             crate::device::kernel_label(),
             "kernel",
@@ -425,6 +418,33 @@ mod tests {
             },
         )
         .unwrap();
+    }
+
+    #[test]
+    fn panicking_kernel_leaves_the_device_usable() {
+        let dev = Device::default();
+        let cfg = LaunchCfg {
+            grid: 64,
+            block_dim: 1,
+        };
+        let before = dev.stats().launches;
+        let payload = std::panic::catch_unwind(|| {
+            dev.launch_read(cfg, |ctx| {
+                if ctx.block_idx() == 41 {
+                    panic!("block 41 faulted");
+                }
+            })
+        })
+        .expect_err("the kernel's panic reaches the launcher");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"block 41 faulted"));
+
+        let visited = std::sync::atomic::AtomicU32::new(0);
+        dev.launch_read(cfg, |_ctx| {
+            visited.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        })
+        .unwrap();
+        assert_eq!(visited.load(std::sync::atomic::Ordering::Relaxed), 64);
+        assert_eq!(dev.stats().launches, before + 2);
     }
 
     #[test]

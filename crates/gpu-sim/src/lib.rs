@@ -3,7 +3,7 @@
 //! SPbLA's published backends run on NVIDIA CUDA and OpenCL. This crate is
 //! the substitution substrate used by the Rust reproduction: it models the
 //! parts of the GPGPU execution and memory model that the paper's kernels
-//! actually rely on, and executes them on a CPU work-stealing pool.
+//! actually rely on, and executes them on a persistent CPU worker pool.
 //!
 //! The model:
 //!
