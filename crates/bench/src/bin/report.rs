@@ -18,7 +18,7 @@
 //! non-zero unless the fused schedule launches ≥ 25% fewer kernels —
 //! the CI smoke gate.
 //! `memory` writes `BENCH_memory.json` (adaptive tiled block storage vs
-//! flat CSR and dense-bit baselines: LUBM closure peak resident bytes,
+//! the flat CSR baseline: LUBM closure peak resident bytes,
 //! per-tile format census and switch counts, catalog residency under a
 //! fixed budget) and exits non-zero unless blocked storage cuts peak
 //! bytes ≥ 2× vs flat CSR and fits ≥ 1.5× more graphs — the CI
@@ -624,16 +624,7 @@ fn ablations() {
         secs(t_tns_scr)
     );
 
-    // 6. sparse vs dense-bit backend at fixed density.
-    let dense = Instance::cpu_dense();
-    let (da, db) = (upload(&dense, n, &pa), upload(&dense, n, &pb));
-    let t_dense = time_avg(RUNS, || {
-        std::hint::black_box(da.mxm(&db).unwrap().nnz());
-    });
-    println!("6. backend  sparse-CSR {}s vs dense-bit {}s at density {:.3} (dense mem {} B vs sparse {} B)",
-        secs(t_hash), secs(t_dense), 24.0 / n as f64, da.memory_bytes(), ha.memory_bytes());
-
-    // 7. fixpoint schedules on the LUBM fixture, with the device
+    // 6. fixpoint schedules on the LUBM fixture, with the device
     //    counters behind the timing gap: each schedule runs on a fresh
     //    simulated device so launches / allocations / accumulator
     //    insertions are attributable per schedule.
@@ -644,7 +635,7 @@ fn ablations() {
     let lpairs = lubm.adjacency_csr().to_pairs();
     let ln = lubm.n_vertices();
     println!(
-        "7. schedule naive vs delta closure on LUBM (n={ln}, nnz={}):",
+        "6. schedule naive vs delta closure on LUBM (n={ln}, nnz={}):",
         lpairs.len()
     );
     println!(
@@ -1460,24 +1451,15 @@ fn memory(records: &mut Vec<JsonRecord>) {
     let blocked = run_closure(&Instance::blocked(Backend::CudaSim));
     let switches = switch_counter.get() - sw0;
     let flat = run_closure(&Instance::cuda_sim());
-    let dense = run_closure(&Instance::cpu_dense());
     assert_eq!(
         blocked.checksum, flat.checksum,
         "blocked closure diverges from flat CSR"
-    );
-    assert_eq!(
-        blocked.checksum, dense.checksum,
-        "blocked closure diverges from dense-bit"
     );
     println!(
         "{:<12} {:>14} {:>14} {:>7}",
         "storage", "peak-bytes", "final-bytes", "rounds"
     );
-    for (name, run) in [
-        ("blocked", &blocked),
-        ("flat_csr", &flat),
-        ("dense_bit", &dense),
-    ] {
+    for (name, run) in [("blocked", &blocked), ("flat_csr", &flat)] {
         println!(
             "{:<12} {:>14} {:>14} {:>7}",
             name, run.peak, run.final_bytes, run.rounds
@@ -1485,16 +1467,13 @@ fn memory(records: &mut Vec<JsonRecord>) {
     }
     let (td, tc, to) = blocked.census.expect("blocked repr reports a census");
     let reduction_csr = flat.peak as f64 / blocked.peak.max(1) as f64;
-    let reduction_dense = dense.peak as f64 / blocked.peak.max(1) as f64;
     println!(
         "closure checksum {:#018x} bit-identical across storages; \
          final tile census: {td} dense / {tc} csr / {to} coo; \
          {switches} densify-time format switches",
         blocked.checksum
     );
-    println!(
-        "peak reduction: {reduction_csr:.2}x vs flat CSR (gate: >= 2.0), {reduction_dense:.2}x vs dense-bit"
-    );
+    println!("peak reduction: {reduction_csr:.2}x vs flat CSR (gate: >= 2.0)");
 
     // Part B — graphs resident under one catalog budget. Same budget,
     // same LRU policy, same touch order: the only variable is the
@@ -1531,11 +1510,9 @@ fn memory(records: &mut Vec<JsonRecord>) {
         "{{\n  \"graph\": \"LUBM\", \"n\": {n}, \"nnz\": {},\n  \
          \"closure\": {{\n    \
          \"blocked\": {{\"peak_bytes\": {}, \"final_bytes\": {}, \"rounds\": {}}},\n    \
-         \"flat_csr\": {{\"peak_bytes\": {}, \"final_bytes\": {}, \"rounds\": {}}},\n    \
-         \"dense_bit\": {{\"peak_bytes\": {}, \"final_bytes\": {}, \"rounds\": {}}}\n  }},\n  \
+         \"flat_csr\": {{\"peak_bytes\": {}, \"final_bytes\": {}, \"rounds\": {}}}\n  }},\n  \
          \"checksum\": \"{:#018x}\",\n  \
          \"peak_reduction_vs_csr\": {reduction_csr:.2},\n  \
-         \"peak_reduction_vs_dense\": {reduction_dense:.2},\n  \
          \"tile_census\": {{\"dense\": {td}, \"csr\": {tc}, \"coo\": {to}}},\n  \
          \"format_switches\": {switches},\n  \
          \"catalog\": {{\"budget_bytes\": {budget}, \"graphs_offered\": {GRAPHS}, \
@@ -1548,9 +1525,6 @@ fn memory(records: &mut Vec<JsonRecord>) {
         flat.peak,
         flat.final_bytes,
         flat.rounds,
-        dense.peak,
-        dense.final_bytes,
-        dense.rounds,
         blocked.checksum,
     );
     std::fs::write("BENCH_memory.json", json).unwrap_or_else(|e| {
@@ -1564,7 +1538,6 @@ fn memory(records: &mut Vec<JsonRecord>) {
         config: vec![
             ("blocked_peak_bytes".into(), blocked.peak.to_string()),
             ("flat_csr_peak_bytes".into(), flat.peak.to_string()),
-            ("dense_bit_peak_bytes".into(), dense.peak.to_string()),
             (
                 "peak_reduction_vs_csr".into(),
                 format!("{reduction_csr:.2}"),

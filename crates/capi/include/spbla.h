@@ -3,7 +3,7 @@
  * Link against the `spbla_capi` static/cdylib build. All functions
  * return spbla_Status; out-parameters are written only on SPBLA_OK,
  * with one exception: a trace or metrics dump into a too-short buffer
- * returns SPBLA_ERROR, yet writes the required size to *len (see below).
+ * returns SPBLA_ERROR, yet writes a sufficient size to *len (see below).
  * Matrix reads use a two-call protocol: pass NULL buffers to query the
  * required capacity, then buffers of that capacity to receive data.
  */
@@ -38,14 +38,16 @@ typedef enum spbla_Status {
     SPBLA_PLAN_ERROR          = 12, /* query text did not compile      */
     SPBLA_CORRUPT             = 13, /* durable state failed validation */
     SPBLA_NO_CHECKPOINT       = 14, /* nothing to recover from         */
-    SPBLA_REPLICA_FAILED      = 15  /* replica out of service          */
+    SPBLA_REPLICA_FAILED      = 15, /* replica out of service          */
+    SPBLA_INVALID_VALUE       = 16  /* enum argument out of range      */
 } spbla_Status;
 
 typedef enum spbla_Backend {
     SPBLA_BACKEND_CPU       = 0, /* sequential reference          */
     SPBLA_BACKEND_CUDA_SIM  = 1, /* CSR + hash SpGEMM (cuBool)    */
-    SPBLA_BACKEND_CL_SIM    = 2, /* COO + ESC SpGEMM (clBool)     */
-    SPBLA_BACKEND_CPU_DENSE = 3  /* dense bit-parallel            */
+    SPBLA_BACKEND_CL_SIM    = 2  /* COO + ESC SpGEMM (clBool)     */
+    /* 3 (the dense bit-parallel CPU backend) is retired: spbla_Initialize
+     * returns SPBLA_INVALID_VALUE for it, as for any unlisted value. */
 } spbla_Backend;
 
 /* Library */
@@ -173,7 +175,8 @@ spbla_Status spbla_Engine_Free(spbla_Engine engine);
  * included), then call again with a buffer of at least that size.
  * Other threads may grow the trace or the registry between the two
  * calls. A buffer that became too short gets SPBLA_ERROR, and *len
- * holds the new required size: reallocate and retry until SPBLA_OK.
+ * holds the new required size plus an eighth of headroom for further
+ * growth: reallocate and retry until SPBLA_OK.
  * spbla_Trace_Enable(capacity) turns tracing on with a ring of
  * `capacity` spans (clearing any prior recording); capacity 0 turns it
  * off. spbla_Trace_Dump writes chrome://tracing JSON.

@@ -188,7 +188,7 @@ mod tests {
 
     fn make(backend: SpblaBackend, pairs: &[(u32, u32)], n: u32) -> (u64, u64) {
         let mut inst = 0u64;
-        unsafe { spbla_Initialize(backend, &mut inst) };
+        unsafe { spbla_Initialize(backend as i32, &mut inst) };
         let mut m = 0u64;
         unsafe { spbla_Matrix_New(inst, n, n, &mut m) };
         let rows: Vec<u32> = pairs.iter().map(|p| p.0).collect();

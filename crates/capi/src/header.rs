@@ -100,6 +100,7 @@ mod tests {
             ("SPBLA_CORRUPT", SpblaStatus::Corrupt as i32),
             ("SPBLA_NO_CHECKPOINT", SpblaStatus::NoCheckpoint as i32),
             ("SPBLA_REPLICA_FAILED", SpblaStatus::ReplicaFailed as i32),
+            ("SPBLA_INVALID_VALUE", SpblaStatus::InvalidValue as i32),
         ];
         for (name, value) in pairs {
             let needle = format!("{name} ");
@@ -121,7 +122,6 @@ mod tests {
             ("SPBLA_BACKEND_CPU ", SpblaBackend::Cpu as i32),
             ("SPBLA_BACKEND_CUDA_SIM", SpblaBackend::CudaSim as i32),
             ("SPBLA_BACKEND_CL_SIM", SpblaBackend::ClSim as i32),
-            ("SPBLA_BACKEND_CPU_DENSE", SpblaBackend::CpuDense as i32),
         ];
         for (name, value) in pairs {
             let line = SPBLA_HEADER

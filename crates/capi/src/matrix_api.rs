@@ -15,8 +15,22 @@ pub enum SpblaBackend {
     CudaSim = 1,
     /// clBool-style COO backend on the simulated device.
     ClSim = 2,
-    /// Dense bit-parallel CPU backend.
-    CpuDense = 3,
+}
+
+/// The raw selector a C caller passed, checked before any `match` on
+/// it: an out-of-range enum value must never reach Rust as a
+/// `SpblaBackend`, where it would be undefined behaviour.
+impl TryFrom<i32> for SpblaBackend {
+    type Error = SpblaStatus;
+
+    fn try_from(value: i32) -> std::result::Result<Self, SpblaStatus> {
+        match value {
+            0 => Ok(SpblaBackend::Cpu),
+            1 => Ok(SpblaBackend::CudaSim),
+            2 => Ok(SpblaBackend::ClSim),
+            _ => Err(SpblaStatus::InvalidValue),
+        }
+    }
 }
 
 fn store_result(out: *mut SpblaMatrix, r: Result<Matrix>) -> SpblaStatus {
@@ -30,23 +44,22 @@ fn store_result(out: *mut SpblaMatrix, r: Result<Matrix>) -> SpblaStatus {
     }
 }
 
-/// Create a library instance for `backend`.
+/// Create a library instance for `backend` (a `spbla_Backend` value).
+/// An unknown value returns [`SpblaStatus::InvalidValue`] and leaves
+/// `*out` unwritten.
 ///
 /// # Safety
 /// `out` must be a valid pointer.
 #[no_mangle]
-pub unsafe extern "C" fn spbla_Initialize(
-    backend: SpblaBackend,
-    out: *mut SpblaInstance,
-) -> SpblaStatus {
+pub unsafe extern "C" fn spbla_Initialize(backend: i32, out: *mut SpblaInstance) -> SpblaStatus {
     if out.is_null() {
         return SpblaStatus::NullPointer;
     }
-    let inst = match backend {
-        SpblaBackend::Cpu => Instance::cpu(),
-        SpblaBackend::CpuDense => Instance::cpu_dense(),
-        SpblaBackend::CudaSim => Instance::cuda_sim(),
-        SpblaBackend::ClSim => Instance::cl_sim(),
+    let inst = match SpblaBackend::try_from(backend) {
+        Ok(SpblaBackend::Cpu) => Instance::cpu(),
+        Ok(SpblaBackend::CudaSim) => Instance::cuda_sim(),
+        Ok(SpblaBackend::ClSim) => Instance::cl_sim(),
+        Err(status) => return status,
     };
     *out = Registry::global().insert_instance(inst);
     SpblaStatus::Ok
@@ -302,8 +315,7 @@ pub extern "C" fn spbla_Matrix_Free(matrix: SpblaMatrix) -> SpblaStatus {
     }
 }
 
-/// Which backend the instance runs on (useful for embedders probing the
-/// "auto" configuration).
+/// Which backend the instance runs on.
 ///
 /// # Safety
 /// `out` must be a valid pointer.
@@ -319,7 +331,6 @@ pub unsafe extern "C" fn spbla_Instance_Backend(
         Some(i) => {
             *out = match i.backend() {
                 Backend::Cpu => SpblaBackend::Cpu,
-                Backend::CpuDense => SpblaBackend::CpuDense,
                 Backend::CudaSim => SpblaBackend::CudaSim,
                 Backend::ClSim => SpblaBackend::ClSim,
             };
@@ -336,7 +347,7 @@ mod tests {
     fn init(backend: SpblaBackend) -> SpblaInstance {
         let mut h: SpblaInstance = 0;
         assert_eq!(
-            unsafe { spbla_Initialize(backend, &mut h) },
+            unsafe { spbla_Initialize(backend as i32, &mut h) },
             SpblaStatus::Ok
         );
         h
@@ -375,10 +386,27 @@ mod tests {
     }
 
     #[test]
+    fn initialize_rejects_unknown_backend_values() {
+        for raw in [3, 4, -1, i32::MIN] {
+            let mut h: SpblaInstance = 0xDEAD;
+            assert_eq!(
+                unsafe { spbla_Initialize(raw, &mut h) },
+                SpblaStatus::InvalidValue,
+                "backend value {raw}"
+            );
+            assert_eq!(h, 0xDEAD, "*out written for backend value {raw}");
+        }
+        for raw in [0, 1, 2] {
+            let mut h: SpblaInstance = 0;
+            assert_eq!(unsafe { spbla_Initialize(raw, &mut h) }, SpblaStatus::Ok);
+            assert_eq!(spbla_Finalize(h), SpblaStatus::Ok);
+        }
+    }
+
+    #[test]
     fn full_c_workflow() {
         for backend in [
             SpblaBackend::Cpu,
-            SpblaBackend::CpuDense,
             SpblaBackend::CudaSim,
             SpblaBackend::ClSim,
         ] {
@@ -410,7 +438,6 @@ mod tests {
     fn masked_products_via_c() {
         for backend in [
             SpblaBackend::Cpu,
-            SpblaBackend::CpuDense,
             SpblaBackend::CudaSim,
             SpblaBackend::ClSim,
         ] {

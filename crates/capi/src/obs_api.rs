@@ -3,8 +3,10 @@
 //! `spbla_Matrix_ExtractPairs`: pass a null buffer to learn the required
 //! size (including the trailing NUL), then call again with a buffer of
 //! at least that size. Other threads may grow the trace or the registry
-//! between the two calls, so a too-short buffer gets `Error` *with* the
-//! new required size in `*len`, and callers retry until `Ok`.
+//! between the two calls, so a too-short buffer gets `Error` *with* a
+//! new size in `*len` — the current required size plus an eighth, so
+//! that the retry still fits while the text keeps growing — and callers
+//! retry until `Ok`.
 
 use std::os::raw::c_char;
 
@@ -27,8 +29,12 @@ pub extern "C" fn spbla_Trace_Enable(capacity: usize) -> SpblaStatus {
 }
 
 /// Copy `text` out through the two-call protocol (`*len` is the buffer
-/// size in, the required size — NUL included — out, also when the buffer
-/// was too short and the call returns `Error`).
+/// size in, the required size — NUL included — out; when the buffer was
+/// too short the call returns `Error` and `*len` adds an eighth of
+/// headroom).
+///
+/// Without the headroom a caller retrying at exactly the reported size
+/// can lose every round to a registry that grows while it renders.
 unsafe fn dump_text(text: &str, buf: *mut c_char, len: *mut usize) -> SpblaStatus {
     if len.is_null() {
         return SpblaStatus::NullPointer;
@@ -39,7 +45,7 @@ unsafe fn dump_text(text: &str, buf: *mut c_char, len: *mut usize) -> SpblaStatu
         return SpblaStatus::Ok;
     }
     if *len < required {
-        *len = required;
+        *len = required + required / 8;
         return SpblaStatus::Error;
     }
     std::ptr::copy_nonoverlapping(text.as_ptr(), buf.cast::<u8>(), text.len());
@@ -113,7 +119,7 @@ mod tests {
     fn trace_enable_and_dump_round_trip() {
         assert_eq!(spbla_Trace_Enable(4096), SpblaStatus::Ok);
         let mut inst = 0u64;
-        unsafe { spbla_Initialize(SpblaBackend::CudaSim, &mut inst) };
+        unsafe { spbla_Initialize(SpblaBackend::CudaSim as i32, &mut inst) };
         let mut m = 0u64;
         unsafe { spbla_Matrix_New(inst, 4, 4, &mut m) };
         let rows = [0u32, 1, 2];
@@ -139,7 +145,7 @@ mod tests {
         // At least one device has been created across the test binary,
         // so both renderings carry the per-device launch counters.
         let mut inst = 0u64;
-        unsafe { spbla_Initialize(SpblaBackend::CudaSim, &mut inst) };
+        unsafe { spbla_Initialize(SpblaBackend::CudaSim as i32, &mut inst) };
         let prom = unsafe { dump_string(|b, l| spbla_Metrics_Dump(0, b, l)) };
         assert!(prom.contains("spbla_dev_launches_total"), "{prom}");
         let json = unsafe { dump_string(|b, l| spbla_Metrics_Dump(1, b, l)) };
@@ -170,7 +176,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut inst = 0u64;
-                unsafe { spbla_Initialize(SpblaBackend::CudaSim, &mut inst) };
+                unsafe { spbla_Initialize(SpblaBackend::CudaSim as i32, &mut inst) };
                 let rows = [0u32, 1, 2];
                 let cols = [1u32, 2, 3];
                 start.wait();
@@ -182,7 +188,7 @@ mod tests {
                     // counter values. Capped so the dumps stay small.
                     if k < 32 {
                         let mut extra = 0u64;
-                        unsafe { spbla_Initialize(SpblaBackend::CudaSim, &mut extra) };
+                        unsafe { spbla_Initialize(SpblaBackend::CudaSim as i32, &mut extra) };
                         spbla_Finalize(extra);
                     }
                     let mut m = 0u64;

@@ -38,6 +38,8 @@ pub enum SpblaStatus {
     NoCheckpoint = 14,
     /// The addressed replica is out of service (failed or poisoned).
     ReplicaFailed = 15,
+    /// An enum argument held a value outside its declared range.
+    InvalidValue = 16,
 }
 
 impl From<&SpblaError> for SpblaStatus {

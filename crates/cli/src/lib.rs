@@ -100,12 +100,11 @@ impl Args {
 fn backend_instance(name: Option<&str>) -> Result<Instance, CliError> {
     Ok(match name.unwrap_or("cuda") {
         "cpu" => Instance::cpu(),
-        "dense" => Instance::cpu_dense(),
         "cuda" => Instance::cuda_sim(),
         "cl" => Instance::cl_sim(),
         other => {
             return Err(CliError::usage(format!(
-                "unknown backend '{other}' (cpu | dense | cuda | cl)"
+                "unknown backend '{other}' (cpu | cuda | cl)"
             )))
         }
     })
@@ -130,8 +129,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "load" => cmd_load(&rest, out),
         "recover" => cmd_recover(&rest, out),
         "trace" => cmd_trace(&rest, out),
-        "triangles" => cmd_triangles(&rest, out),
-        "components" => cmd_components(&rest, out),
         "help" | "--help" | "-h" => writeln!(out, "{USAGE}").map_err(CliError::from),
         other => Err(CliError::usage(format!(
             "unknown command '{other}'\n{USAGE}"
@@ -144,14 +141,12 @@ pub const USAGE: &str = "usage: spbla <command>\n\
   generate <lubm|taxonomy|geospecies|go|go-hierarchy|eclass|enzyme|alias> \n\
            [--scale S] [--seed N] [--out FILE] [--inverses yes]\n\
   stats    <graph.triples>\n\
-  rpq      <graph.triples> <regex> [--backend cpu|dense|cuda|cl] [--source V] [--limit K]\n\
+  rpq      <graph.triples> <regex> [--backend cpu|cuda|cl] [--source V] [--limit K]\n\
   cfpq     <graph.triples> <grammar-file|@G1|@G2|@Geo|@MA> [--engine tns|mtx] [--backend B] [--limit K]\n\
   closure  <graph.triples> [--backend B] [--devices N] [--condense on|off]\n\
            (N>1 shards over a device grid; --condense on runs the fixpoint on the\n\
             SCC condensation DAG and expands back — bit-identical, fewer launches)\n\
   bfs      <graph.triples> <source>\n\
-  triangles  <graph.triples>   (symmetrises, counts triangles)\n\
-  components <graph.triples>   (weak + strong component counts)\n\
   engine   [graph.triples] [--devices N] [--clients C] [--requests R] [--seed S]\n\
            [--queue CAP] [--deadline-ms MS]\n\
            (closed-loop mixed RPQ/CFPQ serving; generates a LUBM fixture if no graph given)\n\
@@ -418,38 +413,6 @@ fn cmd_closure(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         closure.nnz(),
         closure.memory_bytes()
     )?;
-    Ok(())
-}
-
-fn cmd_triangles(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let mut table = SymbolTable::new();
-    let graph = load(args, &mut table)?;
-    // Symmetrise and drop self-loops before counting.
-    let csr = graph.adjacency_csr();
-    let mut sym: Vec<(u32, u32)> = Vec::with_capacity(csr.nnz() * 2);
-    for (u, v) in csr.iter() {
-        if u != v {
-            sym.push((u, v));
-            sym.push((v, u));
-        }
-    }
-    let adj = spbla_core::CsrBool::from_pairs(graph.n_vertices(), graph.n_vertices(), &sym)
-        .map_err(|e| CliError::run(e.to_string()))?;
-    let count = spbla_graph::algorithms::triangle_count(&adj);
-    writeln!(out, "{count} triangles (undirected, self-loops dropped)")?;
-    Ok(())
-}
-
-fn cmd_components(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let mut table = SymbolTable::new();
-    let graph = load(args, &mut table)?;
-    let inst = Instance::cuda_sim();
-    let adjacency = spbla_core::Matrix::from_csr(&inst, graph.adjacency_csr())?;
-    let wcc = spbla_graph::algorithms::weakly_connected_components(&adjacency, &inst)?;
-    let scc = spbla_graph::algorithms::strongly_connected_components(&adjacency, &inst)?;
-    let nw = wcc.iter().max().map_or(0, |&m| m + 1);
-    let ns = scc.iter().max().map_or(0, |&m| m + 1);
-    writeln!(out, "{nw} weak components, {ns} strong components")?;
     Ok(())
 }
 
@@ -1272,22 +1235,6 @@ mod tests {
     }
 
     #[test]
-    fn triangles_and_components() {
-        let path = temp_graph();
-        let p = path.to_str().unwrap();
-        // temp graph: 0-a->1-a->2-b->3 (a chain): no triangles, one weak
-        // component, four strong components.
-        let tr = run_str(&["triangles", p]).unwrap();
-        assert!(tr.contains("0 triangles"), "{tr}");
-        let comp = run_str(&["components", p]).unwrap();
-        assert!(
-            comp.contains("1 weak components, 4 strong components"),
-            "{comp}"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn engine_serves_closed_loop() {
         let path = temp_graph();
         let p = path.to_str().unwrap();
@@ -1417,12 +1364,12 @@ mod tests {
             1
         );
         let path = temp_graph();
-        assert_eq!(
-            run_str(&["rpq", path.to_str().unwrap(), "a", "--backend", "gpu9000"])
-                .unwrap_err()
-                .code,
-            2
-        );
+        for backend in ["gpu9000", "dense"] {
+            let err =
+                run_str(&["rpq", path.to_str().unwrap(), "a", "--backend", backend]).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(err.message.contains("(cpu | cuda | cl)"), "{}", err.message);
+        }
         std::fs::remove_file(&path).ok();
     }
 

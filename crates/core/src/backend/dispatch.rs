@@ -1,13 +1,13 @@
 //! The unified kernel-dispatch trait.
 //!
-//! Every backend representation — host CSR, dense bit-words, the
-//! cuda-sim CSR device matrix, the cl-sim COO device matrix — exposes
+//! Every backend representation — host CSR, the cuda-sim CSR device
+//! matrix, the cl-sim COO device matrix, tiled block storage — exposes
 //! the same kernel set (SpGEMM and its masked / complement-masked
 //! variants, the fused accumulate kernel, merge-add, the frontier
 //! SpMSpV, reductions) through [`KernelDispatch`], so the `Matrix`
 //! handle writes each operation's dispatch *once* instead of repeating
-//! a four-way `match` per op, and fused kernels land on all four
-//! backends behind one entry point.
+//! a four-way `match` per op, and fused kernels land on all three
+//! backends and the blocked storage behind one entry point.
 //!
 //! Trait methods carry a `k_` prefix so they never shadow (or get
 //! shadowed by) the inherent methods they delegate to.
@@ -16,7 +16,6 @@ use crate::backend::cl_sim::{self, DeviceCoo};
 use crate::backend::cuda_sim::{self, DeviceCsr};
 use crate::block::BlockMatrix;
 use crate::error::Result;
-use crate::format::bitmat::BitMatrix;
 use crate::format::csr::CsrBool;
 use crate::index::Index;
 
@@ -126,56 +125,6 @@ impl KernelDispatch for CsrBool {
         iter_words(frontier_words, |i| {
             for &j in self.row(i) {
                 acc[j as usize / 64] |= 1u64 << (j % 64);
-            }
-        });
-        Ok(words_to_indices(&acc))
-    }
-    fn k_reduce_to_column(&self) -> Result<Vec<Index>> {
-        Ok(self.reduce_to_column())
-    }
-    fn k_reduce_to_row(&self) -> Result<Vec<Index>> {
-        Ok(self.reduce_to_row())
-    }
-}
-
-impl KernelDispatch for BitMatrix {
-    fn k_mxm(&self, b: &Self) -> Result<Self> {
-        self.mxm(b)
-    }
-    fn k_mxm_masked(&self, b: &Self, mask: &Self) -> Result<Self> {
-        self.mxm_masked(b, mask)
-    }
-    fn k_mxm_compmask(&self, b: &Self, mask: &Self) -> Result<Self> {
-        self.mxm_compmask(b, mask)
-    }
-    fn k_mxm_accum_compmask(
-        &self,
-        a: &Self,
-        b: &Self,
-        want_fresh: bool,
-    ) -> Result<FusedAccum<Self>> {
-        let (acc, fresh_nnz, fresh) = self.mxm_accum_compmask(a, b, want_fresh)?;
-        Ok(FusedAccum {
-            acc,
-            fresh_nnz,
-            fresh,
-        })
-    }
-    fn k_ewise_add(&self, b: &Self) -> Result<Self> {
-        self.ewise_add(b)
-    }
-    fn k_ewise_mult(&self, b: &Self) -> Result<Self> {
-        self.ewise_mult(b)
-    }
-    fn k_vxm(&self, set: &[Index]) -> Result<Vec<Index>> {
-        Ok(self.vxm(set))
-    }
-    fn k_vxm_pull(&self, frontier_words: &[u64]) -> Result<Vec<Index>> {
-        // Dense × dense: OR the selected rows word-parallel.
-        let mut acc = vec![0u64; (self.ncols() as usize).div_ceil(64)];
-        iter_words(frontier_words, |i| {
-            for (a, &w) in acc.iter_mut().zip(self.row_words(i)) {
-                *a |= w;
             }
         });
         Ok(words_to_indices(&acc))

@@ -9,8 +9,7 @@
 //! the in-between rides compact `u16` sparse tiles.
 //!
 //! Every kernel runs strip-wise: a block-row's result is accumulated
-//! into a dense 64-row scratch of bit-words (one block-row of a
-//! `BitMatrix`), then re-tiled. The scratch makes mixed-format operands
+//! into a dense 64-row bit-word scratch, then re-tiled. The scratch makes mixed-format operands
 //! trivial — any tile ORs into it regardless of format — and guarantees
 //! results bit-identical to the flat representations, because Boolean
 //! union in a bitmap has one possible answer. Accumulating kernels

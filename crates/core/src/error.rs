@@ -28,15 +28,6 @@ pub enum SpblaError {
     /// A requested dimension is zero or would overflow the index type
     /// (e.g. a Kronecker product larger than `u32::MAX` on a side).
     InvalidDimension(String),
-    /// A byte-footprint estimate overflowed `u64` — the requested shape
-    /// cannot be represented densely on any device, so sizing math must
-    /// fail typed instead of silently wrapping into a "fits" verdict.
-    FootprintOverflow {
-        /// Rows of the shape being sized.
-        nrows: u64,
-        /// Columns of the shape being sized.
-        ncols: u64,
-    },
     /// The simulated device failed (out of memory, bad launch).
     Device(spbla_gpu_sim::DeviceError),
 }
@@ -58,10 +49,6 @@ impl fmt::Display for SpblaError {
                 write!(f, "operands belong to different backend instances")
             }
             SpblaError::InvalidDimension(msg) => write!(f, "invalid dimension: {msg}"),
-            SpblaError::FootprintOverflow { nrows, ncols } => write!(
-                f,
-                "dense footprint of {nrows}x{ncols} overflows a 64-bit byte count"
-            ),
             SpblaError::Device(e) => write!(f, "device error: {e}"),
         }
     }

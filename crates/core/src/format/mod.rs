@@ -5,14 +5,11 @@
 //! * [`coo::CooBool`] — coordinate list, the clBool format:
 //!   `2 · nnz · sizeof(Index)` bytes, better for hypersparse matrices with
 //!   many empty rows;
-//! * [`dense::DenseBool`] — a bit matrix used as the testing oracle;
-//! * [`bitmat::BitMatrix`] — a row-aligned dense bit matrix, the storage
-//!   of the dense CPU backend (bit-parallel `mxm`).
+//! * [`dense::DenseBool`] — a bit matrix used as the testing oracle.
 //!
 //! The sequential operations on `CsrBool` double as the CPU reference
 //! backend: every simulated-GPU kernel is tested against them.
 
-pub mod bitmat;
 pub mod convert;
 pub mod coo;
 pub mod csr;

@@ -2,37 +2,18 @@
 //!
 //! Mirrors `cuBool_Initialize`: an application creates one instance per
 //! backend configuration and all matrices/vectors belong to it. The
-//! planned SPbLA unification ("automatically select a specific
-//! implementation depending on the capabilities of the target device") is
-//! modelled by [`Instance::auto`].
+//! backend is always named explicitly; [`Instance::blocked`] is the one
+//! way to put tiled block storage beneath a backend.
 
 use std::sync::Arc;
 
-use spbla_gpu_sim::{Device, DeviceConfig};
-
-use crate::error::{Result, SpblaError};
-
-/// Byte footprint of a dense bit-matrix of `nrows × ncols` (rows padded
-/// to whole 64-bit words), with overflow reported as a typed error
-/// rather than wrapped arithmetic. Backend selection and admission
-/// checks must route shape sizing through here: a wrapping estimate
-/// reads as "tiny", which silently green-lights an impossible dense
-/// allocation.
-pub fn dense_bits_bytes(nrows: u64, ncols: u64) -> Result<u64> {
-    let row_bytes = ncols.div_ceil(64).checked_mul(8);
-    row_bytes
-        .and_then(|rb| rb.checked_mul(nrows))
-        .ok_or(SpblaError::FootprintOverflow { nrows, ncols })
-}
+use spbla_gpu_sim::Device;
 
 /// Which implementation executes the operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Sequential host reference (cuBool's CPU fallback).
     Cpu,
-    /// Dense bit-parallel CPU backend (row-aligned bitsets; quadratic
-    /// memory, word-parallel operations — wins on dense operands).
-    CpuDense,
     /// cuBool design: CSR + hash SpGEMM + two-pass merge add.
     CudaSim,
     /// clBool design: COO + ESC SpGEMM + one-pass merge add.
@@ -45,7 +26,6 @@ impl Backend {
     pub fn label(&self) -> &'static str {
         match self {
             Backend::Cpu => "cpu",
-            Backend::CpuDense => "cpu-dense",
             Backend::CudaSim => "cuda-sim",
             Backend::ClSim => "cl-sim",
         }
@@ -56,22 +36,6 @@ impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// Parse one `SPBLA_AUTO_BLOCKED` value: `Some(true)` forces blocked
-/// storage, `Some(false)` forces flat, `None` leaves the heuristic in
-/// charge. Unrecognised values are ignored rather than guessed at.
-fn parse_auto_blocked(value: &str) -> Option<bool> {
-    match value {
-        "on" | "1" | "true" => Some(true),
-        "off" | "0" | "false" => Some(false),
-        _ => None,
-    }
-}
-
-/// The `SPBLA_AUTO_BLOCKED` escape hatch, read from the environment.
-fn auto_blocked_env() -> Option<bool> {
-    parse_auto_blocked(&std::env::var("SPBLA_AUTO_BLOCKED").ok()?)
 }
 
 #[derive(Debug)]
@@ -137,11 +101,6 @@ impl Instance {
         Instance::make(Backend::Cpu, None)
     }
 
-    /// Dense bit-parallel CPU instance.
-    pub fn cpu_dense() -> Self {
-        Instance::make(Backend::CpuDense, None)
-    }
-
     /// cuBool-style instance on a default simulated device.
     pub fn cuda_sim() -> Self {
         Instance::make(Backend::CudaSim, Some(Device::default()))
@@ -161,76 +120,6 @@ impl Instance {
     /// clBool-style instance on a caller-provided device.
     pub fn cl_sim_on(device: Device) -> Self {
         Instance::make(Backend::ClSim, Some(device))
-    }
-
-    /// Pick a backend from the device description, the way the unified
-    /// SPbLA plans to: hypersparse workloads (expected `nnz ≪ nrows`)
-    /// favour COO, otherwise CSR.
-    pub fn auto(config: DeviceConfig, expect_hypersparse: bool) -> Self {
-        let device = Device::new(config);
-        if expect_hypersparse {
-            Instance::cl_sim_on(device)
-        } else {
-            Instance::cuda_sim_on(device)
-        }
-    }
-
-    /// Density-aware selection from the expected workload shape (the
-    /// crossovers measured by ablations E9 and E10.6):
-    /// * small-and-dense (the dense bitset fits the device's shared
-    ///   budget and density clears ~2 %) → dense bit-parallel backend;
-    /// * hypersparse (`nnz < nrows`, COO beats CSR per E9) → COO;
-    /// * otherwise → CSR hash backend, under tiled block storage when
-    ///   the shape clears [`Instance::blocked_pays_off`].
-    ///
-    /// The `SPBLA_AUTO_BLOCKED` environment variable overrides the
-    /// storage half of the decision for the sparse device backends:
-    /// `off`/`0`/`false` forces flat storage, `on`/`1`/`true` forces
-    /// blocked, anything else (or unset) keeps the heuristic. The
-    /// backend pick itself is never affected.
-    pub fn auto_for(config: DeviceConfig, nrows: u32, expected_nnz: usize) -> Self {
-        let cells = nrows as f64 * nrows as f64;
-        let density = if cells > 0.0 {
-            expected_nnz as f64 / cells
-        } else {
-            0.0
-        };
-        // Overflowing footprints mean "does not fit" — fall through to
-        // the sparse backends rather than picking dense on wrapped math.
-        let dense_fits = dense_bits_bytes(nrows as u64, nrows as u64)
-            .map(|bytes| bytes <= (64 << 20))
-            .unwrap_or(false);
-        if density >= 0.02 && dense_fits {
-            return Instance::cpu_dense();
-        }
-        let device = Device::new(config);
-        let backend = if expected_nnz < nrows as usize {
-            Backend::ClSim
-        } else {
-            Backend::CudaSim
-        };
-        let blocked = match auto_blocked_env() {
-            Some(forced) => forced,
-            None => Instance::blocked_pays_off(nrows, expected_nnz),
-        };
-        if blocked {
-            Instance::blocked_on(backend, Some(device))
-        } else {
-            Instance::make(backend, Some(device))
-        }
-    }
-
-    /// Whether adaptive tiled block storage is expected to beat the
-    /// flat format for a square matrix of this shape (the E18 gates):
-    /// the matrix must span enough 64×64 tiles for per-tile format
-    /// switching to amortize (≥ 8 tile rows), and the expected density
-    /// must clear 1e-4 so occupied tiles hold real clusters instead of
-    /// singleton entries. Dense-bitset and hypersparse shapes are
-    /// already routed to their own formats by [`Instance::auto_for`].
-    pub fn blocked_pays_off(nrows: u32, expected_nnz: usize) -> bool {
-        const MIN_ROWS: u32 = 8 * 64; // eight tile rows
-        let cells = nrows as f64 * nrows as f64;
-        nrows >= MIN_ROWS && cells > 0.0 && expected_nnz as f64 / cells >= 1e-4
     }
 
     /// The backend this instance executes on.
@@ -262,111 +151,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_for_picks_by_shape() {
-        // Dense small square → bit backend.
-        let dense = Instance::auto_for(DeviceConfig::default(), 1000, 200_000);
-        assert_eq!(dense.backend(), Backend::CpuDense);
-        // Hypersparse tall → COO.
-        let hyper = Instance::auto_for(DeviceConfig::default(), 1_000_000, 5_000);
-        assert_eq!(hyper.backend(), Backend::ClSim);
-        // Ordinary sparse → CSR.
-        let csr = Instance::auto_for(DeviceConfig::default(), 100_000, 1_000_000);
-        assert_eq!(csr.backend(), Backend::CudaSim);
-        // Huge dense bitset would exceed the budget → falls back to CSR.
-        let big = Instance::auto_for(DeviceConfig::default(), 200_000, 1_000_000_000);
-        assert_ne!(big.backend(), Backend::CpuDense);
-    }
-
-    #[test]
-    fn auto_for_picks_blocked_storage_by_shape() {
-        // One test covers heuristic *and* escape hatch: the hatch
-        // mutates process environment, so interleaving it with other
-        // auto_for tests in this binary would race.
-
-        // LUBM-shaped: thousands of vertices, a handful of edges per
-        // vertex — many occupied 64×64 tiles, density ≈ 2e-3.
-        let lubm = Instance::auto_for(DeviceConfig::default(), 2_000, 8_000);
-        assert_eq!(lubm.backend(), Backend::CudaSim);
-        assert!(lubm.is_blocked(), "LUBM shape should pick tiled storage");
-        // Too small to amortize tiling (and too sparse for the dense
-        // bitset): flat storage.
-        let small = Instance::auto_for(DeviceConfig::default(), 300, 400);
-        assert_eq!(small.backend(), Backend::CudaSim);
-        assert!(!small.is_blocked());
-        // Big but far below the tile-occupancy density floor: flat.
-        let scattered = Instance::auto_for(DeviceConfig::default(), 100_000, 200_000);
-        assert!(!scattered.is_blocked());
-        // Hypersparse keeps its COO pick but never blocks (tiles would
-        // hold singletons).
-        let hyper = Instance::auto_for(DeviceConfig::default(), 1_000_000, 5_000);
-        assert_eq!(hyper.backend(), Backend::ClSim);
-        assert!(!hyper.is_blocked());
-
-        // The escape-hatch grammar.
-        for forced in ["on", "1", "true"] {
-            assert_eq!(super::parse_auto_blocked(forced), Some(true));
-        }
-        for forced in ["off", "0", "false"] {
-            assert_eq!(super::parse_auto_blocked(forced), Some(false));
-        }
-        assert_eq!(super::parse_auto_blocked("banana"), None);
-
-        // And the hatch wired through the environment: force flat on a
-        // blocked-favouring shape, force blocked on a flat-favouring
-        // one, then restore the heuristic. The backend never moves.
-        std::env::set_var("SPBLA_AUTO_BLOCKED", "off");
-        let forced_flat = Instance::auto_for(DeviceConfig::default(), 2_000, 8_000);
-        assert_eq!(forced_flat.backend(), Backend::CudaSim);
-        assert!(!forced_flat.is_blocked());
-        std::env::set_var("SPBLA_AUTO_BLOCKED", "on");
-        let forced_blocked = Instance::auto_for(DeviceConfig::default(), 300, 400);
-        assert_eq!(forced_blocked.backend(), Backend::CudaSim);
-        assert!(forced_blocked.is_blocked());
-        std::env::remove_var("SPBLA_AUTO_BLOCKED");
-        assert!(Instance::auto_for(DeviceConfig::default(), 2_000, 8_000).is_blocked());
-    }
-
-    #[test]
-    fn dense_bytes_checked_at_overflow_boundary() {
-        // Small shapes: exact padded-row arithmetic.
-        assert_eq!(dense_bits_bytes(1, 1).unwrap(), 8);
-        assert_eq!(dense_bits_bytes(1000, 1000).unwrap(), 16 * 8 * 1000);
-        assert_eq!(dense_bits_bytes(0, u64::MAX).unwrap(), 0);
-        // Largest row count that still fits for a one-word-wide matrix:
-        // 8 * nrows ≤ u64::MAX ⇔ nrows ≤ u64::MAX / 8.
-        let max_rows = u64::MAX / 8;
-        assert_eq!(dense_bits_bytes(max_rows, 64).unwrap(), max_rows * 8);
-        // One past the boundary must fail typed, not wrap.
-        assert_eq!(
-            dense_bits_bytes(max_rows + 1, 64).unwrap_err(),
-            SpblaError::FootprintOverflow {
-                nrows: max_rows + 1,
-                ncols: 64
-            }
-        );
-        // Wide shapes overflow through the nrows product.
-        assert!(matches!(
-            dense_bits_bytes(u64::MAX, u64::MAX),
-            Err(SpblaError::FootprintOverflow { .. })
-        ));
-        // auto_for keeps working at shapes whose usize math used to be
-        // the only guard: it must fall back to a sparse backend.
-        let inst = Instance::auto_for(DeviceConfig::default(), u32::MAX, usize::MAX);
-        assert_ne!(inst.backend(), Backend::CpuDense);
-    }
-
-    #[test]
     fn backends_and_devices() {
         assert_eq!(Instance::cpu().backend(), Backend::Cpu);
         assert!(Instance::cpu().device().is_none());
         assert!(Instance::cuda_sim().device().is_some());
-        assert_eq!(
-            Instance::auto(DeviceConfig::default(), true).backend(),
-            Backend::ClSim
-        );
-        assert_eq!(
-            Instance::auto(DeviceConfig::default(), false).backend(),
-            Backend::CudaSim
-        );
     }
 }

@@ -52,6 +52,6 @@ pub use format::coo::CooBool;
 pub use format::csr::CsrBool;
 pub use format::dense::DenseBool;
 pub use index::{Index, Pair};
-pub use instance::{dense_bits_bytes, Backend, Instance};
+pub use instance::{Backend, Instance};
 pub use matrix::{FusedProduct, Matrix};
 pub use vector::Vector;

@@ -10,7 +10,6 @@ use crate::backend::cuda_sim::{self, DeviceCsr};
 use crate::backend::dispatch::KernelDispatch;
 use crate::block::BlockMatrix;
 use crate::error::{Result, SpblaError};
-use crate::format::bitmat::BitMatrix;
 use crate::format::coo::CooBool;
 use crate::format::csr::CsrBool;
 use crate::index::{Index, Pair};
@@ -20,7 +19,6 @@ use crate::vector::Vector;
 #[derive(Debug)]
 enum Repr {
     Cpu(CsrBool),
-    Bit(BitMatrix),
     Cuda(DeviceCsr),
     Cl(DeviceCoo),
     /// Adaptive tiled block storage (any backend, [`Instance::is_blocked`]).
@@ -34,7 +32,6 @@ macro_rules! dispatch2 {
     ($lhs:expr, $rhs:expr, |$a:ident, $b:ident| $body:expr) => {
         match (&$lhs.repr, &$rhs.repr) {
             (Repr::Cpu($a), Repr::Cpu($b)) => Ok(Repr::Cpu($body?)),
-            (Repr::Bit($a), Repr::Bit($b)) => Ok(Repr::Bit($body?)),
             (Repr::Cuda($a), Repr::Cuda($b)) => Ok(Repr::Cuda($body?)),
             (Repr::Cl($a), Repr::Cl($b)) => Ok(Repr::Cl($body?)),
             (Repr::Block($a), Repr::Block($b)) => Ok(Repr::Block($body?)),
@@ -48,7 +45,6 @@ macro_rules! dispatch3 {
     ($lhs:expr, $rhs:expr, $third:expr, |$a:ident, $b:ident, $c:ident| $body:expr) => {
         match (&$lhs.repr, &$rhs.repr, &$third.repr) {
             (Repr::Cpu($a), Repr::Cpu($b), Repr::Cpu($c)) => Ok(Repr::Cpu($body?)),
-            (Repr::Bit($a), Repr::Bit($b), Repr::Bit($c)) => Ok(Repr::Bit($body?)),
             (Repr::Cuda($a), Repr::Cuda($b), Repr::Cuda($c)) => Ok(Repr::Cuda($body?)),
             (Repr::Cl($a), Repr::Cl($b), Repr::Cl($c)) => Ok(Repr::Cl($body?)),
             (Repr::Block($a), Repr::Block($b), Repr::Block($c)) => Ok(Repr::Block($body?)),
@@ -62,7 +58,6 @@ macro_rules! dispatch1 {
     ($m:expr, |$a:ident| $body:expr) => {
         match &$m.repr {
             Repr::Cpu($a) => $body,
-            Repr::Bit($a) => $body,
             Repr::Cuda($a) => $body,
             Repr::Cl($a) => $body,
             Repr::Block($a) => $body,
@@ -174,11 +169,6 @@ impl Matrix {
         }
         let repr = match instance.backend() {
             Backend::Cpu => Repr::Cpu(host),
-            Backend::CpuDense => Repr::Bit(BitMatrix::from_pairs(
-                host.nrows(),
-                host.ncols(),
-                &host.to_pairs(),
-            )?),
             Backend::CudaSim => {
                 let dev = instance.device().expect("cuda-sim instance has a device");
                 Repr::Cuda(DeviceCsr::upload(dev, &host)?)
@@ -226,7 +216,6 @@ impl Matrix {
     pub fn nrows(&self) -> Index {
         match &self.repr {
             Repr::Cpu(m) => m.nrows(),
-            Repr::Bit(m) => m.nrows(),
             Repr::Cuda(m) => m.nrows(),
             Repr::Cl(m) => m.nrows(),
             Repr::Block(m) => m.nrows(),
@@ -237,7 +226,6 @@ impl Matrix {
     pub fn ncols(&self) -> Index {
         match &self.repr {
             Repr::Cpu(m) => m.ncols(),
-            Repr::Bit(m) => m.ncols(),
             Repr::Cuda(m) => m.ncols(),
             Repr::Cl(m) => m.ncols(),
             Repr::Block(m) => m.ncols(),
@@ -256,7 +244,6 @@ impl Matrix {
     pub fn nnz(&self) -> usize {
         *self.nnz_cache.get_or_init(|| match &self.repr {
             Repr::Cpu(m) => m.nnz(),
-            Repr::Bit(m) => m.nnz(),
             Repr::Cuda(m) => m.nnz(),
             Repr::Cl(m) => m.nnz(),
             Repr::Block(m) => m.nnz(),
@@ -272,7 +259,6 @@ impl Matrix {
     pub fn memory_bytes(&self) -> usize {
         match &self.repr {
             Repr::Cpu(m) => m.memory_bytes(),
-            Repr::Bit(m) => m.memory_bytes(),
             Repr::Cuda(m) => m.memory_bytes(),
             Repr::Cl(m) => m.memory_bytes(),
             Repr::Block(m) => m.memory_bytes(),
@@ -293,7 +279,6 @@ impl Matrix {
     pub fn read(&self) -> Vec<Pair> {
         match &self.repr {
             Repr::Cpu(m) => m.to_pairs(),
-            Repr::Bit(m) => m.to_pairs(),
             Repr::Cuda(m) => m.download().to_pairs(),
             Repr::Cl(m) => m.download().to_pairs(),
             Repr::Block(m) => m.to_pairs(),
@@ -304,8 +289,6 @@ impl Matrix {
     pub fn to_csr(&self) -> CsrBool {
         match &self.repr {
             Repr::Cpu(m) => m.clone(),
-            Repr::Bit(m) => CsrBool::from_pairs(m.nrows(), m.ncols(), &m.to_pairs())
-                .expect("bit matrix pairs in bounds"),
             Repr::Cuda(m) => m.download(),
             Repr::Cl(m) => CsrBool::from(&m.download()),
             Repr::Block(m) => m.to_csr(),
@@ -317,7 +300,6 @@ impl Matrix {
     pub fn get(&self, i: Index, j: Index) -> bool {
         match &self.repr {
             Repr::Cpu(m) => m.get(i, j),
-            Repr::Bit(m) => i < m.nrows() && j < m.ncols() && m.get(i, j),
             Repr::Cuda(m) => i < m.nrows() && m.row(i).binary_search(&j).is_ok(),
             Repr::Cl(m) => m
                 .rows()
@@ -461,7 +443,6 @@ impl Matrix {
             || {
                 let repr = match (&self.repr, &other.repr) {
                     (Repr::Cpu(a), Repr::Cpu(b)) => Repr::Cpu(a.kron(b)?),
-                    (Repr::Bit(a), Repr::Bit(b)) => Repr::Bit(a.kron(b)?),
                     (Repr::Cuda(a), Repr::Cuda(b)) => Repr::Cuda(cuda_sim::kron::kron(a, b)?),
                     (Repr::Cl(a), Repr::Cl(b)) => Repr::Cl(cl_sim::structure::kron(a, b)?),
                     (Repr::Block(a), Repr::Block(b)) => Repr::Block(a.kron(b)?),
@@ -483,7 +464,6 @@ impl Matrix {
             || {
                 let repr = match &self.repr {
                     Repr::Cpu(m) => Repr::Cpu(m.transpose()),
-                    Repr::Bit(m) => Repr::Bit(m.transpose()),
                     Repr::Cuda(m) => Repr::Cuda(cuda_sim::structure::transpose(m)?),
                     Repr::Cl(m) => Repr::Cl(cl_sim::structure::transpose(m)?),
                     Repr::Block(m) => Repr::Block(m.transpose()),
@@ -504,7 +484,6 @@ impl Matrix {
             || {
                 let repr = match &self.repr {
                     Repr::Cpu(m) => Repr::Cpu(m.submatrix(i0, j0, nrows, ncols)?),
-                    Repr::Bit(m) => Repr::Bit(m.submatrix(i0, j0, nrows, ncols)?),
                     Repr::Cuda(m) => {
                         Repr::Cuda(cuda_sim::structure::submatrix(m, i0, j0, nrows, ncols)?)
                     }
@@ -588,9 +567,6 @@ impl Matrix {
                 let out: Vec<Index> = match &self.repr {
                     Repr::Cpu(m) => (0..m.nrows())
                         .filter(|&i| m.row(i).iter().any(|j| v.get(*j)))
-                        .collect(),
-                    Repr::Bit(m) => (0..m.nrows())
-                        .filter(|&i| v.indices().iter().any(|&j| m.get(i, j)))
                         .collect(),
                     Repr::Cuda(m) => (0..m.nrows())
                         .filter(|&i| m.row(i).iter().any(|j| v.get(*j)))
@@ -688,7 +664,7 @@ impl Matrix {
     ///
     /// ```
     /// use spbla_core::{Instance, Matrix};
-    /// let inst = Instance::cpu_dense();
+    /// let inst = Instance::cpu();
     /// let path = Matrix::from_pairs(&inst, 3, 3, &[(0, 1), (1, 2)]).unwrap();
     /// let closure = path.transitive_closure().unwrap();
     /// assert_eq!(closure.read(), vec![(0, 1), (0, 2), (1, 2)]);
@@ -718,7 +694,6 @@ impl Matrix {
     fn clone_repr(&self) -> Result<Repr> {
         Ok(match &self.repr {
             Repr::Cpu(m) => Repr::Cpu(m.clone()),
-            Repr::Bit(m) => Repr::Bit(m.clone()),
             Repr::Cuda(m) => {
                 let dev = m.device().clone();
                 Repr::Cuda(DeviceCsr::upload(&dev, &m.download())?)
@@ -840,10 +815,6 @@ impl Matrix {
                         let r = c.k_mxm_accum_compmask(ra, rb, want_fresh)?;
                         (Repr::Cpu(r.acc), r.fresh_nnz, r.fresh.map(Repr::Cpu))
                     }
-                    (Repr::Bit(c), Repr::Bit(ra), Repr::Bit(rb)) => {
-                        let r = c.k_mxm_accum_compmask(ra, rb, want_fresh)?;
-                        (Repr::Bit(r.acc), r.fresh_nnz, r.fresh.map(Repr::Bit))
-                    }
                     (Repr::Cuda(c), Repr::Cuda(ra), Repr::Cuda(rb)) => {
                         let r = c.k_mxm_accum_compmask(ra, rb, want_fresh)?;
                         (Repr::Cuda(r.acc), r.fresh_nnz, r.fresh.map(Repr::Cuda))
@@ -911,12 +882,7 @@ mod tests {
     use super::*;
 
     fn instances() -> Vec<Instance> {
-        vec![
-            Instance::cpu(),
-            Instance::cpu_dense(),
-            Instance::cuda_sim(),
-            Instance::cl_sim(),
-        ]
+        vec![Instance::cpu(), Instance::cuda_sim(), Instance::cl_sim()]
     }
 
     #[test]

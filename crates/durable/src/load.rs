@@ -307,7 +307,7 @@ pub fn run_open_loop_mixed(
     let mut write_stats = TierStats::default();
     let start = Instant::now();
     // Dispatch phase: submit on schedule, never block on completions.
-    let mut in_flight: Vec<(usize, Ticket, Duration)> = Vec::with_capacity(schedule.len());
+    let mut pending: Vec<(usize, Ticket, Duration)> = Vec::with_capacity(schedule.len());
     for (i, arrival) in schedule.iter().enumerate() {
         let now = start.elapsed();
         if now < arrival.at {
@@ -336,7 +336,7 @@ pub fn run_open_loop_mixed(
         match engine.submit_tiered(graph, query, arrival.tier, deadline) {
             Ok(ticket) => {
                 stats.admitted += 1;
-                in_flight.push((i, ticket, slip));
+                pending.push((i, ticket, slip));
             }
             Err(EngineError::Overloaded { .. }) => stats.rejected += 1,
             Err(_) => stats.failed += 1,
@@ -346,7 +346,7 @@ pub fn run_open_loop_mixed(
     let mut interactive_samples = Vec::new();
     let mut batch_samples = Vec::new();
     let mut write_samples = Vec::new();
-    for (i, ticket, slip) in in_flight {
+    for (i, ticket, slip) in pending {
         let done = ticket.wait();
         let arrival = &schedule[i];
         let (stats, samples) = if arrival.write {

@@ -16,7 +16,7 @@
 //! completion, so per-request launch and byte deltas are additive.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -298,7 +298,6 @@ struct EngineInner {
     state: Mutex<SchedState>,
     available: Condvar,
     metrics: EngineMetrics,
-    in_flight: AtomicUsize,
 }
 
 /// Engine-wide observability snapshot.
@@ -382,7 +381,6 @@ impl Engine {
             }),
             available: Condvar::new(),
             metrics,
-            in_flight: AtomicUsize::new(0),
         });
         let workers = (0..n)
             .map(|dev| {
@@ -670,9 +668,7 @@ fn worker_loop(inner: &Arc<EngineInner>, dev: usize) {
                 st = inner.available.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        inner.in_flight.fetch_add(1, Ordering::Relaxed);
         execute(inner, dev, req);
-        inner.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

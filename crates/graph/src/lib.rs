@@ -16,7 +16,6 @@
 //! * [`cfpq::oracle`] — worklist graph-CYK, the correctness oracle;
 //! * [`bfs`] — matrix BFS, a library showcase used by the examples.
 
-pub mod algorithms;
 pub mod bfs;
 pub mod cfpq;
 pub mod closure;

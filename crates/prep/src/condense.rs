@@ -167,7 +167,6 @@ mod tests {
     fn backends() -> Vec<Instance> {
         vec![
             Instance::cpu(),
-            Instance::cpu_dense(),
             Instance::cuda_sim(),
             Instance::cl_sim(),
             Instance::blocked(Backend::Cpu),

@@ -1,10 +1,10 @@
-//! Compare all RPQ evaluation strategies and all four backends on one
+//! Compare all RPQ evaluation strategies and all three backends on one
 //! workload — the "unified library" story: one query, many execution
 //! plans, identical answers.
 //!
 //! Strategies: all-pairs Kronecker index (the paper's algorithm),
 //! single-source frontier BFS, and derivative-based propagation (the
-//! related-work baseline). Backends: cpu, cpu-dense, cuda-sim, cl-sim.
+//! related-work baseline). Backends: cpu, cuda-sim, cl-sim.
 //!
 //! Run: `cargo run -p spbla-examples --bin engines_compare`
 
@@ -34,12 +34,7 @@ fn main() {
 
     // Strategy 1: all-pairs index, on every backend.
     let mut reference: Option<Vec<(u32, u32)>> = None;
-    for inst in [
-        Instance::cpu(),
-        Instance::cpu_dense(),
-        Instance::cuda_sim(),
-        Instance::cl_sim(),
-    ] {
+    for inst in [Instance::cpu(), Instance::cuda_sim(), Instance::cl_sim()] {
         let t0 = Instant::now();
         let idx =
             RpqIndex::build(&graph, &regex, &inst, &RpqOptions::default()).expect("index builds");

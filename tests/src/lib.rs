@@ -4,12 +4,7 @@ use spbla_core::Instance;
 
 /// One instance per backend, for "all backends agree" tests.
 pub fn all_backends() -> Vec<Instance> {
-    vec![
-        Instance::cpu(),
-        Instance::cpu_dense(),
-        Instance::cuda_sim(),
-        Instance::cl_sim(),
-    ]
+    vec![Instance::cpu(), Instance::cuda_sim(), Instance::cl_sim()]
 }
 
 /// Deterministic pseudo-random pair list (xorshift; no rand dependency
@@ -36,7 +31,7 @@ mod tests {
 
     #[test]
     fn fixtures_work() {
-        assert_eq!(all_backends().len(), 4);
+        assert_eq!(all_backends().len(), 3);
         let p = pseudo_pairs(10, 20, 7);
         assert_eq!(p.len(), 20);
         assert!(p.iter().all(|&(i, j)| i < 10 && j < 10));

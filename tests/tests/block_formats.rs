@@ -156,43 +156,29 @@ fn rpq_checksums_match_flat() {
     }
 }
 
-/// `Instance::auto_for` on a real LUBM adjacency selects blocked CSR
-/// storage, and the selected instance answers the closure bit-identically
-/// to a flat instance on the same backend — the auto pick is a layout
-/// decision, never a semantic one.
+/// Blocked CSR storage on a real LUBM adjacency answers the closure
+/// bit-identically to a flat instance on the same backend: tiling is a
+/// layout decision, never a semantic one.
 #[test]
-fn auto_for_selects_blocked_on_lubm_and_stays_bit_identical() {
+fn blocked_closure_matches_flat_on_lubm() {
     use spbla_data::lubm::{lubm_like, LubmConfig};
-    use spbla_gpu_sim::DeviceConfig;
 
     let mut table = SymbolTable::new();
-    // Scale 4: enough universities that the adjacency spans well past
-    // the eight-tile-row amortization floor.
+    // Scale 4: enough universities that the adjacency spans many
+    // 64-row tile rows.
     let graph = lubm_like(4, &LubmConfig::default(), &mut table, 0xCAFE);
     let n = graph.n_vertices();
-    let adj = graph.adjacency_csr();
-    let pairs = adj.to_pairs();
-
-    let auto = Instance::auto_for(DeviceConfig::default(), n, pairs.len());
-    assert_eq!(
-        auto.backend(),
-        spbla_core::Backend::CudaSim,
-        "LUBM is ordinary-sparse: CSR territory"
-    );
-    assert!(
-        auto.is_blocked(),
-        "LUBM shape (n={n}, nnz={}) should pick tiled storage",
-        pairs.len()
-    );
+    let pairs = graph.adjacency_csr().to_pairs();
 
     let flat = Instance::cuda_sim();
+    let blocked = Instance::blocked(spbla_core::Backend::CudaSim);
     let cf = closure_delta(&Matrix::from_pairs(&flat, n, n, &pairs).unwrap())
         .unwrap()
         .read();
-    let cb = closure_delta(&Matrix::from_pairs(&auto, n, n, &pairs).unwrap())
+    let cb = closure_delta(&Matrix::from_pairs(&blocked, n, n, &pairs).unwrap())
         .unwrap()
         .read();
-    assert_eq!(fnv(&cf), fnv(&cb), "auto-selected storage diverged");
+    assert_eq!(fnv(&cf), fnv(&cb), "blocked storage diverged");
 }
 
 /// A densifying closure must actually exercise the re-choosing path:

@@ -13,15 +13,14 @@ fn concurrent_workflows_do_not_interfere() {
     let handles: Vec<_> = (0..8u32)
         .map(|t| {
             std::thread::spawn(move || {
-                let backend = match t % 4 {
+                let backend = match t % 3 {
                     0 => SpblaBackend::Cpu,
-                    1 => SpblaBackend::CpuDense,
-                    2 => SpblaBackend::CudaSim,
+                    1 => SpblaBackend::CudaSim,
                     _ => SpblaBackend::ClSim,
                 };
                 let mut inst = 0u64;
                 assert_eq!(
-                    unsafe { spbla_Initialize(backend, &mut inst) },
+                    unsafe { spbla_Initialize(backend as i32, &mut inst) },
                     SpblaStatus::Ok
                 );
                 // Per-thread distinctive matrix: a cycle of length t+3.
@@ -59,7 +58,7 @@ fn concurrent_workflows_do_not_interfere() {
 #[test]
 fn double_free_from_other_thread_is_invalid_handle() {
     let mut inst = 0u64;
-    unsafe { spbla_Initialize(SpblaBackend::Cpu, &mut inst) };
+    unsafe { spbla_Initialize(SpblaBackend::Cpu as i32, &mut inst) };
     let mut m = 0u64;
     unsafe { spbla_Matrix_New(inst, 2, 2, &mut m) };
     let t = std::thread::spawn(move || spbla_Matrix_Free(m));

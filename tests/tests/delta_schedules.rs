@@ -44,7 +44,7 @@ proptest! {
 
     /// `mxm_compmask(A,B,M)` ≡ `mxm(A,B)` followed by dropping entries
     /// of `M`, and `mxm_masked` ≡ keeping them — identically on the
-    /// CSR, COO, dense-bit and CPU backends.
+    /// CSR, COO and CPU backends.
     #[test]
     fn compmask_equals_product_then_filter(
         pa in pairs(10, 40), pb in pairs(10, 40), pm in pairs(10, 40)

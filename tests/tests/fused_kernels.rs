@@ -19,7 +19,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `C.mxm_accum_compmask(A, B)` ≡ `fresh = (A·B) ∧ ¬C; acc = C ∪ fresh`
-    /// on all four backends, including ragged `A: m×k, B: k×n, C: m×n`
+    /// on all three backends, including ragged `A: m×k, B: k×n, C: m×n`
     /// shapes.
     #[test]
     fn fused_matches_unfused_composition(

@@ -9,7 +9,7 @@
 //!   `xfer` spans on that track;
 //! - the per-kernel profile histograms advance by exactly one
 //!   observation per instrumented op, with sums matching actual shapes,
-//!   on all four backends.
+//!   on all three backends.
 //!
 //! The trace and registry are process-global, so every test here
 //! serialises on one mutex — tests within this binary otherwise run on
@@ -134,7 +134,7 @@ fn device_stats_view_equals_registry_cells() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// On all four backends, each instrumented op adds exactly one
+    /// On all three backends, each instrumented op adds exactly one
     /// observation to its kernel histograms, and the observed `rows` /
     /// `nnz_out` sums advance by the true matrix shapes.
     #[test]
@@ -147,7 +147,6 @@ proptest! {
         let reg = metrics_global();
         for inst in [
             Instance::cpu(),
-            Instance::cpu_dense(),
             Instance::cuda_sim(),
             Instance::cl_sim(),
         ] {

@@ -1,4 +1,4 @@
-//! Mid-scale deterministic stress: all four backends must produce
+//! Mid-scale deterministic stress: all three backends must produce
 //! bit-identical results through a chained pipeline of every operation
 //! on a few-thousand-nnz workload (large enough to hit the radix-sort
 //! parallel path, multiple SpGEMM bins, and merge-path row splitting).
