@@ -3,53 +3,19 @@
 //! ```text
 //! cargo run --release -p spbla-bench --bin report -- all
 //! cargo run --release -p spbla-bench --bin report -- table4
-//! cargo run --release -p spbla-bench --bin report -- stream --json BENCH_stream.json
 //! SPBLA_BENCH_SCALE=0.05 cargo run --release -p spbla-bench --bin report -- fig3
 //! ```
 //!
 //! Subcommands: `table1 table2 fig2 fig3 table3 table4 paths
-//! boolean-vs-generic formats ablations scaling serving stream obs
-//! fusion memory load replication condense failover all`.
-//! `obs` additionally writes `BENCH_obs.json` (per-kernel p50/p95 from
-//! the profiling histograms plus the measured tracing overhead).
-//! `fusion` writes `BENCH_fusion.json` (fused vs unfused delta-closure
-//! launches, intermediate-product bytes elided, push/pull direction
-//! decisions on LUBM, 1/2/4-device closure checksums) and exits
-//! non-zero unless the fused schedule launches ≥ 25% fewer kernels —
-//! the CI smoke gate.
-//! `memory` writes `BENCH_memory.json` (adaptive tiled block storage vs
-//! the flat CSR baseline: LUBM closure peak resident bytes,
-//! per-tile format census and switch counts, catalog residency under a
-//! fixed budget) and exits non-zero unless blocked storage cuts peak
-//! bytes ≥ 2× vs flat CSR and fits ≥ 1.5× more graphs — the CI
-//! memory-smoke gate.
-//! `load` writes `BENCH_load.json` (open-loop seeded-Poisson saturation
-//! sweep plus a two-tier QoS rung) and exits non-zero unless a
-//! saturation point is detected, the batch tier bounces before the
-//! interactive tier, and interactive p95 stays under its bound — the
-//! CI load-smoke gate.
-//! `replication` writes `BENCH_replication.json` (1/2/3-replica
-//! bit-identity and aggregate read-capacity scaling) and exits non-zero
-//! unless all replica checksums agree and capacity at 3 replicas is
-//! ≥ 1.8× one — the CI recovery-smoke gate.
-//! `condense` writes `BENCH_condense.json` (SCC-condensed closure vs
-//! the direct fused delta closure on an SCC-heavy synthetic and LUBM,
-//! 1/2/4-device checksum identity, incremental SCC maintenance vs
-//! recompute under an insert/delete stream) and exits non-zero unless
-//! the condensed schedule launches ≥ 1.5× fewer kernels and performs
-//! ≥ 2× fewer accumulator insertions on the SCC-heavy graph with every
-//! checksum identical — the CI condense-smoke gate.
-//! `--json FILE` additionally writes the machine-readable records the
-//! run produced (one JSON object per experiment configuration, with the
-//! device counters: launches, accumulator insertions, h2d/d2h/d2d bytes
-//! and peak memory). Absolute numbers are CPU-simulator scale;
-//! EXPERIMENTS.md records how each reproduced *shape* compares to the
-//! paper.
+//! boolean-vs-generic formats all`. Absolute numbers are CPU-simulator
+//! scale; EXPERIMENTS.md records how each reproduced *shape* compares
+//! to the paper. Timing of the system layers around the paper's kernels
+//! (serving, streaming, durability, multi-device) lives in `benchmark/`.
 
 use std::time::Duration;
 
 use spbla_bench::*;
-use spbla_core::{CooBool, CsrBool, Instance, Matrix};
+use spbla_core::{CooBool, CsrBool, Instance};
 use spbla_data::grammars::{grammar_g1, grammar_g2, grammar_geo, grammar_ma};
 use spbla_data::queries::{generate_queries, TEMPLATES};
 use spbla_data::random::uniform_row_degree;
@@ -59,88 +25,21 @@ use spbla_graph::cfpq::azimov::{AzimovIndex, AzimovOptions};
 use spbla_graph::cfpq::tensor::{TnsIndex, TnsOptions};
 use spbla_graph::rpq::{RpqIndex, RpqOptions};
 use spbla_graph::LabeledGraph;
-use spbla_lang::{CnfGrammar, SymbolTable};
+use spbla_lang::{CnfGrammar, Rsm, SymbolTable};
 
 const RUNS: usize = 3; // paper averages over 5; 3 keeps `all` snappy
 
-/// One machine-readable record of an experiment configuration; the
-/// `--json FILE` sink renders these by hand (no serde in the tree).
-struct JsonRecord {
-    experiment: String,
-    config: Vec<(String, String)>,
-    launches: u64,
-    insertions: u64,
-    h2d_bytes: u64,
-    d2h_bytes: u64,
-    d2d_bytes: u64,
-    peak_bytes: usize,
-}
-
-impl JsonRecord {
-    fn render(&self) -> String {
-        let config: String = self
-            .config
-            .iter()
-            .map(|(k, v)| {
-                // Numbers stay numbers, everything else is quoted.
-                if v.parse::<f64>().is_ok() {
-                    format!(r#""{k}": {v}"#)
-                } else {
-                    format!(r#""{k}": "{v}""#)
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            r#"{{"experiment": "{}", {config}, "launches": {}, "insertions": {}, "h2d_bytes": {}, "d2h_bytes": {}, "d2d_bytes": {}, "peak_bytes": {}}}"#,
-            self.experiment,
-            self.launches,
-            self.insertions,
-            self.h2d_bytes,
-            self.d2h_bytes,
-            self.d2d_bytes,
-            self.peak_bytes
-        )
-    }
-}
-
-fn write_json(path: &str, records: &[JsonRecord]) {
-    let body: Vec<String> = records
-        .iter()
-        .map(|r| format!("  {}", r.render()))
-        .collect();
-    let text = format!("[\n{}\n]\n", body.join(",\n"));
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nwrote {} JSON records to {path}", records.len());
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut subcommand: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(path) => json = Some(path.clone()),
-                None => {
-                    eprintln!("--json requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            other if subcommand.is_none() => subcommand = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument: {other}");
-                std::process::exit(2);
-            }
+    let arg = match args.as_slice() {
+        [] => "all",
+        [one] => one.as_str(),
+        [_, extra, ..] => {
+            eprintln!("unexpected argument: {extra}");
+            std::process::exit(2);
         }
-    }
-    let arg = subcommand.unwrap_or_else(|| "all".into());
-    let mut records: Vec<JsonRecord> = Vec::new();
-    match arg.as_str() {
+    };
+    match arg {
         "table1" => table1(),
         "table2" => table2(),
         "fig2" => fig2(),
@@ -150,17 +49,6 @@ fn main() {
         "paths" => paths(),
         "boolean-vs-generic" => boolean_vs_generic(),
         "formats" => formats(),
-        "ablations" => ablations(),
-        "scaling" => scaling(),
-        "serving" => serving(&mut records),
-        "stream" => stream(&mut records),
-        "obs" => obs(&mut records),
-        "fusion" => fusion(&mut records),
-        "memory" => memory(&mut records),
-        "load" => load(&mut records),
-        "replication" => replication(&mut records),
-        "condense" => condense(&mut records),
-        "failover" => failover(&mut records),
         "all" => {
             table1();
             table2();
@@ -171,26 +59,14 @@ fn main() {
             paths();
             boolean_vs_generic();
             formats();
-            ablations();
-            scaling();
-            serving(&mut records);
-            stream(&mut records);
-            obs(&mut records);
-            fusion(&mut records);
-            memory(&mut records);
-            load(&mut records);
-            replication(&mut records);
-            condense(&mut records);
-            failover(&mut records);
         }
         other => {
             eprintln!("unknown experiment: {other}");
-            eprintln!("known: table1 table2 fig2 fig3 table3 table4 paths boolean-vs-generic formats ablations scaling serving stream obs fusion memory load replication condense failover all");
+            eprintln!(
+                "known: table1 table2 fig2 fig3 table3 table4 paths boolean-vs-generic formats all"
+            );
             std::process::exit(2);
         }
-    }
-    if let Some(path) = json {
-        write_json(&path, &records);
     }
 }
 
@@ -394,6 +270,18 @@ fn table4() {
     let ma = grammar_ma(&mut table);
     let inst = Instance::cuda_sim();
 
+    // The introduction's encoding claim: Tns runs on the grammar's RSM,
+    // Mtx on its CNF, and CNF conversion blows the grammar up.
+    print!("grammar size");
+    for (gname, grammar) in [("G1", &g1), ("G2", &g2), ("Geo", &geo), ("MA", &ma)] {
+        let (rsm, cnf) = (
+            Rsm::from_grammar(grammar).size(),
+            CnfGrammar::from_grammar(grammar).size(),
+        );
+        print!("  {gname}: RSM {rsm} CNF {cnf}");
+    }
+    println!("\n");
+
     for (name, graph) in cfpq_rdf_suite(&mut table, scale) {
         let mut gs: Vec<(&str, &spbla_lang::Grammar)> = vec![("G1", &g1), ("G2", &g2)];
         if name == "geospecies" {
@@ -526,1059 +414,6 @@ fn boolean_vs_generic() {
     );
 }
 
-// ---------------------------------------------------------------- E10
-fn ablations() {
-    header("E10 — design-choice ablations (text summary)");
-    use spbla_data::random::{two_cycles_graph, uniform_row_degree as urd};
-    use spbla_graph::cfpq::tensor::{TnsIndex as Tns, TnsOptions as TnsOpt};
-    use spbla_graph::closure::{closure_incremental, closure_squaring};
-    use spbla_lang::{Grammar, Rsm};
-
-    // 1. hash vs ESC SpGEMM.
-    let n = 2000u32;
-    let (pa, pb) = (urd(n, 24, 1), urd(n, 24, 2));
-    let cuda = Instance::cuda_sim();
-    let (ha, hb) = (upload(&cuda, n, &pa), upload(&cuda, n, &pb));
-    let t_hash = time_avg(RUNS, || {
-        std::hint::black_box(ha.mxm(&hb).unwrap().nnz());
-    });
-    let cl = Instance::cl_sim();
-    let (ea, eb) = (upload(&cl, n, &pa), upload(&cl, n, &pb));
-    let t_esc = time_avg(RUNS, || {
-        std::hint::black_box(ea.mxm(&eb).unwrap().nnz());
-    });
-    println!(
-        "1. SpGEMM   hash(CSR) {}s vs ESC(COO) {}s ({:.2}x)",
-        secs(t_hash),
-        secs(t_esc),
-        t_esc.as_secs_f64() / t_hash.as_secs_f64()
-    );
-
-    // 2. masked mxm fused vs post-intersection.
-    let mask = upload(&cuda, n, &pa);
-    let t_fused = time_avg(RUNS, || {
-        std::hint::black_box(ha.mxm_masked(&ha, &mask).unwrap().nnz());
-    });
-    let t_post = time_avg(RUNS, || {
-        std::hint::black_box(ha.mxm(&ha).unwrap().ewise_mult(&mask).unwrap().nnz());
-    });
-    println!(
-        "2. masked   fused {}s vs product+intersect {}s ({:.2}x)",
-        secs(t_fused),
-        secs(t_post),
-        t_post.as_secs_f64() / t_fused.as_secs_f64()
-    );
-
-    // 3. incremental closure after a 1-edge delta.
-    let chain: Vec<(u32, u32)> = (0..199u32).map(|i| (i, i + 1)).collect();
-    let a2 = upload(&cuda, 200, &chain);
-    let t0 = closure_squaring(&a2).unwrap();
-    let delta = upload(&cuda, 200, &[(199, 0)]);
-    let t_inc = time_avg(RUNS, || {
-        std::hint::black_box(closure_incremental(&t0, &delta).unwrap().nnz());
-    });
-    let merged = a2.ewise_add(&delta).unwrap();
-    let t_scr = time_avg(RUNS, || {
-        std::hint::black_box(closure_squaring(&merged).unwrap().nnz());
-    });
-    println!(
-        "3. closure  incremental {}s vs from-scratch {}s ({:.0}x) after 1-edge delta",
-        secs(t_inc),
-        secs(t_scr),
-        t_scr.as_secs_f64() / t_inc.as_secs_f64()
-    );
-
-    // 4. CNF vs RSM grammar size (the introduction's blow-up claim).
-    let mut table = SymbolTable::new();
-    let reg = Grammar::parse("S -> a b c d e | a S", &mut table).unwrap();
-    let cnf = CnfGrammar::from_grammar(&reg);
-    let rsm = Rsm::from_grammar(&reg);
-    println!(
-        "4. encoding RSM size {} vs CNF size {} ({:.1}x blow-up) on a regular query",
-        rsm.size(),
-        cnf.size(),
-        cnf.size() as f64 / rsm.size() as f64
-    );
-
-    // 5. Tns closure mode on the two-cycles worst case.
-    let mut t2 = SymbolTable::new();
-    let g = two_cycles_graph(24, 35, &mut t2);
-    let gram = Grammar::parse("S -> a S b | a b", &mut t2).unwrap();
-    let t_tns_inc = time_avg(RUNS, || {
-        std::hint::black_box(
-            Tns::build(&g, &gram, &cuda, &TnsOpt { incremental: true })
-                .unwrap()
-                .iterations(),
-        );
-    });
-    let t_tns_scr = time_avg(RUNS, || {
-        std::hint::black_box(
-            Tns::build(&g, &gram, &cuda, &TnsOpt { incremental: false })
-                .unwrap()
-                .iterations(),
-        );
-    });
-    println!(
-        "5. Tns loop incremental {}s vs from-scratch {}s (two-cycles 24/35)",
-        secs(t_tns_inc),
-        secs(t_tns_scr)
-    );
-
-    // 6. fixpoint schedules on the LUBM fixture, with the device
-    //    counters behind the timing gap: each schedule runs on a fresh
-    //    simulated device so launches / allocations / accumulator
-    //    insertions are attributable per schedule.
-    use spbla_gpu_sim::Device;
-    use spbla_graph::closure::closure_delta;
-    let mut ltable = SymbolTable::new();
-    let lubm = lubm_rung(2, &mut ltable);
-    let lpairs = lubm.adjacency_csr().to_pairs();
-    let ln = lubm.n_vertices();
-    println!(
-        "6. schedule naive vs delta closure on LUBM (n={ln}, nnz={}):",
-        lpairs.len()
-    );
-    println!(
-        "   {:<16} {:>9} {:>10} {:>8} {:>13} {:>12} {:>10} {:>10} {:>9}",
-        "schedule",
-        "time",
-        "closure",
-        "launches",
-        "allocations",
-        "accum-insert",
-        "h2d-bytes",
-        "d2h-bytes",
-        "d2d-bytes"
-    );
-    type Schedule = fn(&Matrix) -> spbla_core::Result<Matrix>;
-    let schedules: [(&str, Schedule); 2] = [
-        ("naive_squaring", closure_squaring),
-        ("delta_compmask", closure_delta),
-    ];
-    for (sname, schedule) in schedules {
-        let dev = Device::default();
-        let inst = Instance::cuda_sim_on(dev.clone());
-        let a = upload(&inst, ln, &lpairs);
-        let before = dev.stats();
-        let (elapsed, nnz) = time_once(|| schedule(&a).unwrap().nnz());
-        let after = dev.stats();
-        println!(
-            "   {:<16} {:>8}s {:>10} {:>8} {:>13} {:>12} {:>10} {:>10} {:>9}",
-            sname,
-            secs(elapsed),
-            nnz,
-            after.launches - before.launches,
-            after.allocations - before.allocations,
-            after.accum_insertions - before.accum_insertions,
-            after.h2d_bytes - before.h2d_bytes,
-            after.d2h_bytes - before.d2h_bytes,
-            after.d2d_bytes - before.d2d_bytes,
-        );
-    }
-}
-
-// ---------------------------------------------------------------- E11
-fn scaling() {
-    header("E11 — multi-device strong scaling: distributed closure on LUBM");
-    println!("(the paper names multi-GPU as SPbLA's next step; the claim to check");
-    println!(" is that block-row sharding shrinks the *per-device* memory peak as");
-    println!(" the grid grows — the workload spreads instead of replicating — and");
-    println!(" that the delta schedule's communication volume stays below the");
-    println!(" naive one, since it only all-gathers each round's frontier)\n");
-    use spbla_multidev::{DeviceGrid, DistMatrix};
-    let mut ltable = SymbolTable::new();
-    let lubm = lubm_rung(2, &mut ltable);
-    let csr = lubm.adjacency_csr();
-    println!("LUBM fixture n={} nnz={}\n", lubm.n_vertices(), csr.nnz());
-    println!(
-        "{:<16} {:>8} {:>9} {:>9} {:>15} {:>13}",
-        "schedule", "devices", "time", "closure", "max-dev-peak-B", "total-d2d-B"
-    );
-    type DistSchedule = fn(&DistMatrix) -> spbla_core::Result<DistMatrix>;
-    let schedules: [(&str, DistSchedule); 2] = [
-        ("delta_compmask", DistMatrix::closure_delta),
-        ("naive_squaring", DistMatrix::closure_squaring),
-    ];
-    for (sname, schedule) in schedules {
-        for devices in [1usize, 2, 4, 8] {
-            let grid = DeviceGrid::new(devices);
-            let a = DistMatrix::from_csr(&grid, &csr).expect("shard fits");
-            let (elapsed, nnz) = time_once(|| schedule(&a).expect("closure runs").nnz());
-            println!(
-                "{:<16} {:>8} {:>8}s {:>9} {:>15} {:>13}",
-                sname,
-                devices,
-                secs(elapsed),
-                nnz,
-                grid.max_peak_bytes(),
-                grid.total_stats().d2d_bytes
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------- E12
-/// Sum a `spbla_dev_*` counter family over a set of device ordinals,
-/// straight from the global metrics registry. Devices are created fresh
-/// per configuration, so the registry cells start at zero — no "before"
-/// snapshot arithmetic.
-fn dev_counter_sum(family: &str, ordinals: &[u64]) -> u64 {
-    let reg = spbla_obs::metrics_global();
-    ordinals
-        .iter()
-        .map(|d| {
-            reg.counter(&spbla_obs::labeled(family, &[("dev", &d.to_string())]))
-                .get()
-        })
-        .sum()
-}
-
-fn dev_gauge_max(family: &str, ordinals: &[u64]) -> u64 {
-    let reg = spbla_obs::metrics_global();
-    ordinals
-        .iter()
-        .map(|d| {
-            reg.gauge(&spbla_obs::labeled(family, &[("dev", &d.to_string())]))
-                .get()
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-fn serving(records: &mut Vec<JsonRecord>) {
-    header("E12 — serving layer across grid widths");
-    println!("(closed loop: 8 clients, 96 mixed requests on the LUBM fixture, 3/4 of");
-    println!(" them same-plan single-source RPQs; the claims to check are that the");
-    println!(" plan cache converts per-request compilations into hits and that the");
-    println!(" grid width never changes an answer)\n");
-    use spbla_engine::{Engine, EngineConfig, Query};
-    use spbla_multidev::DeviceGrid;
-    use std::sync::Arc;
-
-    const CLIENTS: usize = 8;
-    const REQUESTS: usize = 96;
-    const SRC_Q: &str = "memberOf . subOrganizationOf*";
-
-    println!(
-        "{:<8} {:>8} {:>9} {:>11} {:>13} {:>10} {:>5}",
-        "devices", "time", "launches", "plan-h/m", "resid-h/m/e", "req/s", "hwm"
-    );
-    let mut checksum: Option<u64> = None;
-    for devices in [1usize, 2, 4] {
-        let engine = Engine::new(
-            DeviceGrid::new(devices),
-            EngineConfig {
-                queue_capacity: 1024,
-                ..EngineConfig::default()
-            },
-        );
-        let graph = engine.with_symbols(|table| lubm_rung(1, table));
-        let n_vertices = graph.n_vertices();
-        engine.add_graph("lubm", graph);
-        let workload: Vec<Query> = (0..REQUESTS)
-            .map(|i| match i % 8 {
-                3 => Query::Rpq("headOf . subOrganizationOf".into()),
-                7 => Query::Cfpq("S -> subOrganizationOf S | subOrganizationOf".into()),
-                _ => Query::RpqFromSource {
-                    text: SRC_Q.into(),
-                    source: (i as u32 * 131) % n_vertices,
-                },
-            })
-            .collect();
-        let engine = Arc::new(engine);
-        let workload = Arc::new(workload);
-        let started = std::time::Instant::now();
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let engine = Arc::clone(&engine);
-                let workload = Arc::clone(&workload);
-                std::thread::spawn(move || {
-                    let mut answers = 0u64;
-                    for (i, q) in workload.iter().enumerate() {
-                        if i % CLIENTS != c {
-                            continue;
-                        }
-                        let done = engine
-                            .submit("lubm", q.clone())
-                            .expect("queue sized for the workload")
-                            .wait();
-                        match done.result.expect("request completes") {
-                            spbla_engine::QueryResult::Pairs(p) => answers += p.len() as u64,
-                            spbla_engine::QueryResult::Reachable(r) => answers += r.len() as u64,
-                            spbla_engine::QueryResult::Applied(_) => {
-                                unreachable!("workload submits no updates")
-                            }
-                        }
-                    }
-                    answers
-                })
-            })
-            .collect();
-        let answers: u64 = handles
-            .into_iter()
-            .map(|h| h.join().expect("client ok"))
-            .sum();
-        let wall = started.elapsed();
-        // Every grid width must produce the same answer volume.
-        match checksum {
-            None => checksum = Some(answers),
-            Some(expect) => assert_eq!(answers, expect, "grid width changed answers!"),
-        }
-        let engine = Arc::try_unwrap(engine).unwrap_or_else(|_| unreachable!("clients joined"));
-        // Read everything from the metrics registry: the per-device
-        // counters by ordinal label, the engine counters through the
-        // registry-owned cells `Engine::stats` views.
-        let ordinals = engine.device_ordinals();
-        let launches = dev_counter_sum("spbla_dev_launches_total", &ordinals);
-        let insertions = dev_counter_sum("spbla_dev_accum_insertions_total", &ordinals);
-        let h2d_bytes = dev_counter_sum("spbla_dev_h2d_bytes_total", &ordinals);
-        let d2h_bytes = dev_counter_sum("spbla_dev_d2h_bytes_total", &ordinals);
-        let d2d_bytes = dev_counter_sum("spbla_dev_d2d_bytes_total", &ordinals);
-        let peak_bytes = dev_gauge_max("spbla_dev_peak_bytes", &ordinals);
-        let stats = engine.shutdown();
-        println!(
-            "{:<8} {:>7}s {:>9} {:>11} {:>13} {:>10.1} {:>5}",
-            devices,
-            secs(wall),
-            launches,
-            format!("{}/{}", stats.plan_hits, stats.plan_misses),
-            format!(
-                "{}/{}/{}",
-                stats.residency_hits, stats.residency_misses, stats.residency_evictions
-            ),
-            REQUESTS as f64 / wall.as_secs_f64().max(1e-9),
-            stats.queue_depth_hwm,
-        );
-        records.push(JsonRecord {
-            experiment: "serving".into(),
-            config: vec![
-                ("devices".into(), devices.to_string()),
-                ("plan_hits".into(), stats.plan_hits.to_string()),
-                ("plan_misses".into(), stats.plan_misses.to_string()),
-                ("queue_depth_hwm".into(), stats.queue_depth_hwm.to_string()),
-            ],
-            launches,
-            insertions,
-            h2d_bytes,
-            d2h_bytes,
-            d2d_bytes,
-            peak_bytes: peak_bytes as usize,
-        });
-    }
-}
-
-// ---------------------------------------------------------------- E13
-fn stream(records: &mut Vec<JsonRecord>) {
-    header("E13 — streaming updates: incremental closure maintenance vs per-batch recompute");
-    println!("(LUBM base with a deep citation thread; a stream of single-triple insert");
-    println!(" batches then small delete batches, replayed identically through the");
-    println!(" incremental view — frontier restart for inserts, one recompute for a");
-    println!(" batch that deletes — and through a per-batch full recompute; the claims");
-    println!(" to check are bit-identical checksums at every version and, over the");
-    println!(" insert phase, incremental maintenance paying ≤ 1/3 of recompute's kernel");
-    println!(" launches AND accumulator insertions)\n");
-    use spbla_multidev::DeviceGrid;
-    use spbla_stream::{GraphStream, MaintainConfig, MaintainMode, UpdateBatch};
-
-    const INSERT_BATCHES: usize = 24;
-    const DELETE_BATCHES: usize = 5;
-    /// Citation-thread depth grafted onto the LUBM base: per-batch full
-    /// recompute re-derives this chain's closure from scratch every
-    /// version (log_φ(CHAIN) fixpoint rounds), while the incremental
-    /// path only touches each batch's frontier.
-    const CHAIN: u32 = 60;
-
-    let mut table = SymbolTable::new();
-    let mut graph = lubm_rung(1, &mut table);
-    let cites = table.intern("cites");
-    let n = graph.n_vertices();
-    // The chain threads the tail of the vertex range (the last
-    // department's publications/courses/students — low in-degree, and
-    // never the 16 ontology-class hubs at the front).
-    for v in n - CHAIN..n - 1 {
-        graph.add_edge(v, cites, v + 1);
-    }
-    let labels: Vec<_> = graph.labels().into_iter().filter(|&l| l != cites).collect();
-    println!(
-        "LUBM fixture n={n} nnz={} (+{CHAIN}-deep citation thread); {INSERT_BATCHES} 1-edge insert batches + {DELETE_BATCHES} 2-edge delete batches\n",
-        graph.n_edges()
-    );
-
-    // Deterministic stream, generated once and replayed by every
-    // (devices, mode) configuration. Inserts are fine-grained (one
-    // triple per batch — RDF-stream granularity) between instance-level
-    // vertices; deletes target edges that exist at their version
-    // (tracked by a host mirror).
-    let mut rng: u64 = 0xE13 | 1;
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    const N_CLASSES: u64 = 16;
-    let mut mirror = graph.clone();
-    let mut batches: Vec<UpdateBatch> = Vec::new();
-    for _ in 0..INSERT_BATCHES {
-        let mut b = UpdateBatch::new();
-        loop {
-            let l = labels[(next() % labels.len() as u64) as usize];
-            let u = (N_CLASSES + next() % (n as u64 - N_CLASSES)) as u32;
-            let v = (N_CLASSES + next() % (n as u64 - N_CLASSES)) as u32;
-            if u != v && !mirror.edges_of(l).contains(&(u, v)) {
-                b.insert(u, l, v);
-                break;
-            }
-        }
-        b.apply_to(&mut mirror);
-        batches.push(b);
-    }
-    for _ in 0..DELETE_BATCHES {
-        let mut b = UpdateBatch::new();
-        for _ in 0..2 {
-            let l = labels[(next() % labels.len() as u64) as usize];
-            let edges = mirror.edges_of(l);
-            if edges.is_empty() {
-                continue;
-            }
-            let (u, v) = edges[(next() % edges.len() as u64) as usize];
-            b.delete(u, l, v);
-        }
-        b.apply_to(&mut mirror);
-        batches.push(b);
-    }
-
-    println!(
-        "{:<8} {:<12} {:>9} {:>13} {:>11} {:>9}",
-        "devices", "mode", "time", "ins-launches", "ins-accum", "peak-B"
-    );
-    for devices in [1usize, 2, 4] {
-        // (per-version checksums, insert-phase Δstats, total Δstats, peak)
-        let run = |mode: MaintainMode| {
-            let grid = DeviceGrid::new(devices);
-            let mut stream = GraphStream::new(&grid, &graph).expect("store builds");
-            stream
-                .track_closure(MaintainConfig {
-                    mode,
-                    ..MaintainConfig::default()
-                })
-                .expect("view builds");
-            let base = grid.total_stats();
-            let mut checksums = Vec::with_capacity(batches.len());
-            let (elapsed, mid) = time_once(|| {
-                for b in batches.iter().take(INSERT_BATCHES) {
-                    stream.apply(b.clone()).expect("insert batch applies");
-                    checksums.push(stream.closure_view().expect("tracked").checksum());
-                }
-                grid.total_stats()
-            });
-            for b in batches.iter().skip(INSERT_BATCHES) {
-                stream.apply(b.clone()).expect("delete batch applies");
-                checksums.push(stream.closure_view().expect("tracked").checksum());
-            }
-            let end = grid.total_stats();
-            let inserts_only = (
-                mid.launches - base.launches,
-                mid.accum_insertions - base.accum_insertions,
-            );
-            let total = (
-                end.launches - base.launches,
-                end.accum_insertions - base.accum_insertions,
-                end.h2d_bytes - base.h2d_bytes,
-                end.d2h_bytes - base.d2h_bytes,
-                end.d2d_bytes - base.d2d_bytes,
-            );
-            (
-                checksums,
-                elapsed,
-                inserts_only,
-                total,
-                grid.max_peak_bytes(),
-            )
-        };
-        let (cs_inc, t_inc, ins_inc, tot_inc, peak_inc) = run(MaintainMode::Incremental);
-        let (cs_rec, t_rec, ins_rec, tot_rec, peak_rec) = run(MaintainMode::Recompute);
-
-        // Bit-identical results at every version, delete batches included.
-        assert_eq!(
-            cs_inc, cs_rec,
-            "incremental maintenance diverged from recompute on {devices} devices"
-        );
-        // The headline ratios, over the insert phase.
-        assert!(
-            ins_inc.0 * 3 <= ins_rec.0,
-            "launch ratio blown on {devices} devices: {} vs {}",
-            ins_inc.0,
-            ins_rec.0
-        );
-        assert!(
-            ins_inc.1 * 3 <= ins_rec.1,
-            "insertion ratio blown on {devices} devices: {} vs {}",
-            ins_inc.1,
-            ins_rec.1
-        );
-        for (mode, t, ins, tot, peak) in [
-            ("incremental", t_inc, ins_inc, tot_inc, peak_inc),
-            ("recompute", t_rec, ins_rec, tot_rec, peak_rec),
-        ] {
-            println!(
-                "{:<8} {:<12} {:>8}s {:>13} {:>11} {:>9}",
-                devices,
-                mode,
-                secs(t),
-                ins.0,
-                ins.1,
-                peak
-            );
-            records.push(JsonRecord {
-                experiment: "E13-stream".into(),
-                config: vec![
-                    ("devices".into(), devices.to_string()),
-                    ("mode".into(), mode.into()),
-                    ("insert_batches".into(), INSERT_BATCHES.to_string()),
-                    ("delete_batches".into(), DELETE_BATCHES.to_string()),
-                ],
-                launches: tot.0,
-                insertions: tot.1,
-                h2d_bytes: tot.2,
-                d2h_bytes: tot.3,
-                d2d_bytes: tot.4,
-                peak_bytes: peak,
-            });
-        }
-        println!(
-            "         checksums identical at all {} versions; insert-phase ratios: launches {:.3}, insertions {:.3}\n",
-            cs_inc.len(),
-            ins_inc.0 as f64 / ins_rec.0.max(1) as f64,
-            ins_inc.1 as f64 / ins_rec.1.max(1) as f64
-        );
-    }
-}
-
-// ---------------------------------------------------------------- obs
-fn obs(records: &mut Vec<JsonRecord>) {
-    header("OBS — per-kernel profile histograms and tracing overhead (E10 closure)");
-    println!("(the claims to check: the kernel-level tracing layer costs < 3% when");
-    println!(" enabled — and nothing but an atomic load when off — and the profiling");
-    println!(" histograms carry per-kernel shape distributions for the ablations)\n");
-    use spbla_graph::closure::closure_delta;
-    use spbla_obs::SampleValue;
-
-    // LUBM's closure converges in a handful of iterations (shallow
-    // hierarchy), finishing in ~2 ms — far below timer noise. A sparse
-    // uniform random digraph reaches a near-dense closure through many
-    // genuinely large SpGEMMs, giving a tens-of-ms workload whose
-    // overhead ratio is measurable.
-    let n: u32 = 256;
-    let inst = Instance::cuda_sim();
-    let a = upload(&inst, n, &uniform_row_degree(n, 3, 0xE10));
-
-    // A ms-scale closure is too noisy for a sub-3% overhead claim at
-    // the default 3 runs: scheduler jitter between two separated
-    // measurement windows masquerades as (anti-)overhead. Interleave
-    // off/on sample pairs and compare medians instead, so drift hits
-    // both sides equally.
-    let pairs = RUNS.max(12);
-    let trace = spbla_obs::trace_global();
-    trace.disable();
-    closure_delta(&a).expect("closure"); // warm-up
-    let mut offs = Vec::with_capacity(pairs);
-    let mut ons = Vec::with_capacity(pairs);
-    let mut sample = |enabled: bool| {
-        if enabled {
-            trace.enable(1 << 22);
-        } else {
-            trace.disable();
-        }
-        let t = time_avg(2, || {
-            closure_delta(&a).expect("closure");
-        });
-        if enabled { &mut ons } else { &mut offs }.push(t);
-    };
-    for i in 0..pairs {
-        // ABBA ordering: whichever side runs second in a pair sits on
-        // warmer caches, so alternate which side that is.
-        let first_on = i % 2 == 1;
-        sample(first_on);
-        sample(!first_on);
-    }
-    let kernel_spans = trace.count_category("kernel");
-    trace.disable();
-    // The two sides of a pair are adjacent in time, so machine-wide
-    // drift (frequency scaling, co-tenant load) cancels inside each
-    // pair's ratio; the median ratio is then robust to the occasional
-    // pair that caught a scheduler hiccup.
-    let mut ratios: Vec<f64> = offs
-        .iter()
-        .zip(&ons)
-        .map(|(off, on)| on.as_secs_f64() / off.as_secs_f64().max(1e-12))
-        .collect();
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let overhead_pct = (ratios[ratios.len() / 2] - 1.0) * 100.0;
-    let (off, on) = (
-        offs.iter().min().copied().expect("non-empty"),
-        ons.iter().min().copied().expect("non-empty"),
-    );
-    println!(
-        "closure on random n={n} d=3: tracing off {}s, tracing on {}s -> overhead {overhead_pct:+.2}%",
-        secs(off),
-        secs(on)
-    );
-    println!("({kernel_spans} kernel spans recorded over the traced runs)\n");
-
-    // Per-kernel shape histograms, fed by every instrumented op above.
-    let samples = spbla_obs::metrics_global().snapshot_prefixed("spbla_kernel_");
-    println!(
-        "{:<64} {:>8} {:>10} {:>10} {:>10}",
-        "metric{backend,kernel}", "count", "p50", "p95", "max"
-    );
-    let mut entries: Vec<String> = Vec::new();
-    for s in &samples {
-        let SampleValue::Histogram(h) = &s.value else {
-            continue;
-        };
-        println!(
-            "{:<64} {:>8} {:>10} {:>10} {:>10}",
-            s.name, h.count, h.p50, h.p95, h.max
-        );
-        entries.push(format!(
-            r#"    {{"metric": "{}", "count": {}, "sum": {}, "p50": {}, "p95": {}, "max": {}}}"#,
-            s.name.replace('"', "\\\""),
-            h.count,
-            h.sum,
-            h.p50,
-            h.p95,
-            h.max
-        ));
-    }
-    let json = format!(
-        "{{\n  \"tracing_overhead_pct\": {overhead_pct:.2},\n  \"kernels\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    std::fs::write("BENCH_obs.json", json).unwrap_or_else(|e| {
-        eprintln!("cannot write BENCH_obs.json: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "\nwrote BENCH_obs.json ({} kernel histograms, overhead {overhead_pct:+.2}%)",
-        entries.len()
-    );
-
-    let device = inst.device().expect("cuda-sim has a device");
-    let s = device.stats();
-    records.push(JsonRecord {
-        experiment: "obs".into(),
-        config: vec![
-            ("tracing_overhead_pct".into(), format!("{overhead_pct:.2}")),
-            ("kernel_histograms".into(), entries.len().to_string()),
-            ("kernel_spans".into(), kernel_spans.to_string()),
-        ],
-        launches: s.launches,
-        insertions: s.accum_insertions,
-        h2d_bytes: s.h2d_bytes,
-        d2h_bytes: s.d2h_bytes,
-        d2d_bytes: s.d2d_bytes,
-        peak_bytes: s.peak_bytes,
-    });
-}
-
-// ---------------------------------------------------------------- E14
-fn fusion(records: &mut Vec<JsonRecord>) {
-    header("FUSION — fused accumulating masked SpGEMM vs the unfused composition (E14 gate)");
-    println!("(the claims to check: the fused delta closure launches ≥25% fewer");
-    println!(" kernels than the unfused mxm_compmask + ewise_add + nnz loop, never");
-    println!(" materialises the intermediate product, and the gathered closure is");
-    println!(" bit-identical on 1/2/4-device grids; push/pull decisions are counted)\n");
-    use spbla_graph::closure::{closure_delta, closure_delta_dist};
-    use spbla_graph::rpq_bfs::rpq_from_sources;
-    use spbla_lang::Regex;
-    use spbla_multidev::DeviceGrid;
-
-    let mut table = SymbolTable::new();
-    let g = lubm_rung(2, &mut table);
-    let n = g.n_vertices();
-    let adj = g.adjacency_csr();
-    let pairs = adj.to_pairs();
-    println!("LUBM rung: n={n}, nnz={}", adj.nnz());
-
-    // The schedule the fused kernel replaces, spelled out: one
-    // standalone complement-masked product per round (the intermediate
-    // this PR elides), a separate union launch, and an nnz-reduction
-    // termination probe against an unprimed handle.
-    let unfused_closure = |m: &Matrix| -> (Matrix, usize) {
-        let mut c = m.duplicate().expect("duplicate");
-        let mut delta = m.duplicate().expect("duplicate");
-        let mut intermediate_bytes = 0usize;
-        loop {
-            let fresh = c.mxm_compmask(&delta, &c).expect("masked product");
-            intermediate_bytes += fresh.memory_bytes();
-            if fresh.nnz() == 0 {
-                break;
-            }
-            c = c.ewise_add(&fresh).expect("union");
-            delta = fresh;
-        }
-        (c, intermediate_bytes)
-    };
-
-    let inst = Instance::cuda_sim();
-    let m = upload(&inst, n, &pairs);
-    let device = inst.device().expect("cuda-sim has a device");
-
-    let s0 = device.stats();
-    let (c_unfused, elided_bytes) = unfused_closure(&m);
-    let s1 = device.stats();
-    let c_fused = closure_delta(&m).expect("fused closure");
-    let s2 = device.stats();
-    let unfused_launches = s1.launches - s0.launches;
-    let fused_launches = s2.launches - s1.launches;
-    let fused_insertions = s2.accum_insertions - s1.accum_insertions;
-    assert_eq!(
-        c_fused.read(),
-        c_unfused.read(),
-        "fused and unfused closures diverge"
-    );
-    let t_unfused = time_avg(RUNS, || {
-        unfused_closure(&m);
-    });
-    let t_fused = time_avg(RUNS, || {
-        closure_delta(&m).expect("fused closure");
-    });
-    let reduction_pct = 100.0 * (1.0 - fused_launches as f64 / unfused_launches.max(1) as f64);
-    println!(
-        "unfused delta closure: {unfused_launches} launches, {elided_bytes} intermediate bytes, {}s",
-        secs(t_unfused)
-    );
-    println!(
-        "fused delta closure:   {fused_launches} launches, 0 intermediate bytes, {}s",
-        secs(t_fused)
-    );
-    println!("launch reduction: {reduction_pct:.1}% (gate: >= 25%)");
-
-    // Push/pull direction decisions on a LUBM traversal: single-source
-    // frontiers stay under the 1/32 density crossover (push row
-    // gathers); saturating the sources from every vertex tips the
-    // frontier over it (pull bit-word sweeps).
-    let dir_count = |name: &str| {
-        spbla_obs::metrics_global()
-            .counter(&spbla_obs::labeled(name, &[("backend", "cuda-sim")]))
-            .get()
-    };
-    let (push0, pull0) = (
-        dir_count("spbla_frontier_push_total"),
-        dir_count("spbla_frontier_pull_total"),
-    );
-    let query = Regex::parse("memberOf . subOrganizationOf*", &mut table).expect("query parses");
-    for src in 0..8u32 {
-        rpq_from_sources(&g, &query, &[src * 97 % n], &inst).expect("rpq");
-    }
-    let everyone: Vec<u32> = (0..n).collect();
-    rpq_from_sources(&g, &query, &everyone, &inst).expect("rpq");
-    let push_decisions = dir_count("spbla_frontier_push_total") - push0;
-    let pull_decisions = dir_count("spbla_frontier_pull_total") - pull0;
-    println!("frontier direction decisions: {push_decisions} push, {pull_decisions} pull");
-
-    // The distributed schedule must gather bit-identically on every
-    // grid width — same pairs, same checksum.
-    let fnv = |pairs: &[(u32, u32)]| -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &(r, c) in pairs {
-            for b in r.to_le_bytes().into_iter().chain(c.to_le_bytes()) {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        h
-    };
-    let reference = c_fused.read();
-    let reference_sum = fnv(&reference);
-    let mut grid_sums: Vec<(usize, u64)> = Vec::new();
-    for devices in [1usize, 2, 4] {
-        let closed = closure_delta_dist(&adj, &DeviceGrid::new(devices)).expect("dist closure");
-        let sum = fnv(&closed.to_pairs());
-        assert_eq!(
-            closed.to_pairs(),
-            reference,
-            "{devices}-device closure diverges from single-device"
-        );
-        grid_sums.push((devices, sum));
-    }
-    println!(
-        "closure checksum {reference_sum:#018x} bit-identical on {} grids",
-        grid_sums
-            .iter()
-            .map(|(d, _)| d.to_string())
-            .collect::<Vec<_>>()
-            .join("/")
-    );
-
-    let grids_json = grid_sums
-        .iter()
-        .map(|(d, s)| format!(r#"    {{"devices": {d}, "checksum": "{s:#018x}"}}"#))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"graph\": \"LUBM\", \"n\": {n}, \"nnz\": {},\n  \
-         \"unfused\": {{\"launches\": {unfused_launches}, \"intermediate_bytes\": {elided_bytes}, \"seconds\": {}}},\n  \
-         \"fused\": {{\"launches\": {fused_launches}, \"insertions\": {fused_insertions}, \"intermediate_bytes\": 0, \"seconds\": {}}},\n  \
-         \"intermediate_bytes_elided\": {elided_bytes},\n  \
-         \"launch_reduction_pct\": {reduction_pct:.1},\n  \
-         \"push_decisions\": {push_decisions}, \"pull_decisions\": {pull_decisions},\n  \
-         \"closure_checksums\": [\n{grids_json}\n  ]\n}}\n",
-        adj.nnz(),
-        secs(t_unfused),
-        secs(t_fused),
-    );
-    std::fs::write("BENCH_fusion.json", json).unwrap_or_else(|e| {
-        eprintln!("cannot write BENCH_fusion.json: {e}");
-        std::process::exit(1);
-    });
-    println!("\nwrote BENCH_fusion.json");
-
-    let s = device.stats();
-    records.push(JsonRecord {
-        experiment: "fusion".into(),
-        config: vec![
-            ("unfused_launches".into(), unfused_launches.to_string()),
-            ("fused_launches".into(), fused_launches.to_string()),
-            ("launch_reduction_pct".into(), format!("{reduction_pct:.1}")),
-            ("intermediate_bytes_elided".into(), elided_bytes.to_string()),
-            ("push_decisions".into(), push_decisions.to_string()),
-            ("pull_decisions".into(), pull_decisions.to_string()),
-        ],
-        launches: s.launches,
-        insertions: s.accum_insertions,
-        h2d_bytes: s.h2d_bytes,
-        d2h_bytes: s.d2h_bytes,
-        d2d_bytes: s.d2d_bytes,
-        peak_bytes: s.peak_bytes,
-    });
-
-    // The CI smoke gate: fused must beat unfused by >= 25% launches.
-    if fused_launches * 4 > unfused_launches * 3 {
-        eprintln!(
-            "FUSION GATE FAILED: fused {fused_launches} launches vs unfused {unfused_launches} \
-             ({reduction_pct:.1}% reduction, need >= 25%)"
-        );
-        std::process::exit(2);
-    }
-    println!("fusion gate passed: {reduction_pct:.1}% >= 25% launch reduction");
-}
-
-// ---------------------------------------------------------------- E15
-/// FNV-1a over a sorted pair list — the bit-identity witness shared by
-/// the fusion and memory gates.
-fn fnv_pairs(pairs: &[(u32, u32)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &(r, c) in pairs {
-        for b in r.to_le_bytes().into_iter().chain(c.to_le_bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
-fn memory(records: &mut Vec<JsonRecord>) {
-    header("MEMORY — adaptive tiled block storage vs flat formats (E15 gate)");
-    println!("(the claims to check: per-tile dense-bit/CSR/COO storage with");
-    println!(" densify-time format switching answers the LUBM delta closure");
-    println!(" bit-identically while holding >= 2x fewer peak resident bytes than");
-    println!(" flat CSR, and fits >= 1.5x more graphs into the same catalog");
-    println!(" residency budget)\n");
-    use spbla_core::Backend;
-    use spbla_engine::Catalog;
-
-    // LUBM base plus a deep citation thread through the tail of the
-    // vertex range (as in E13): the thread's closure is a triangular
-    // block that *densifies* round over round — the workload the
-    // densify-time format switching exists for. The shallow ontology
-    // hierarchy alone converges while still COO-sparse everywhere.
-    const CHAIN: u32 = 192;
-    let mut table = SymbolTable::new();
-    let mut g = lubm_rung(2, &mut table);
-    let cites = table.intern("cites");
-    let n = g.n_vertices();
-    for v in n - CHAIN..n - 1 {
-        g.add_edge(v, cites, v + 1);
-    }
-    let adj = g.adjacency_csr();
-    let pairs = adj.to_pairs();
-    println!(
-        "LUBM fixture: n={n}, nnz={} (+{CHAIN}-deep citation thread)\n",
-        adj.nnz()
-    );
-
-    // Part A — the delta-closure working set (accumulator + delta),
-    // sampled after every fixpoint round; the peak is what a device
-    // must actually hold to finish the query.
-    struct ClosureRun {
-        peak: usize,
-        final_bytes: usize,
-        rounds: usize,
-        checksum: u64,
-        census: Option<(usize, usize, usize)>,
-    }
-    let run_closure = |inst: &Instance| -> ClosureRun {
-        let m = upload(inst, n, &pairs);
-        let mut c = m.duplicate().expect("duplicate");
-        let mut delta = m;
-        let mut peak = c.memory_bytes() + delta.memory_bytes();
-        let mut rounds = 0usize;
-        loop {
-            let step = c
-                .mxm_accum_compmask(&c, &delta, true)
-                .expect("fused closure step");
-            rounds += 1;
-            if step.fresh_nnz == 0 {
-                break;
-            }
-            c = step.acc;
-            delta = step.fresh.expect("fresh requested");
-            peak = peak.max(c.memory_bytes() + delta.memory_bytes());
-        }
-        ClosureRun {
-            peak,
-            final_bytes: c.memory_bytes(),
-            rounds,
-            checksum: fnv_pairs(&c.read()),
-            census: c.block_format_census(),
-        }
-    };
-
-    let switch_counter = spbla_obs::metrics_global().counter("spbla_block_format_switches_total");
-    let sw0 = switch_counter.get();
-    let blocked = run_closure(&Instance::blocked(Backend::CudaSim));
-    let switches = switch_counter.get() - sw0;
-    let flat = run_closure(&Instance::cuda_sim());
-    assert_eq!(
-        blocked.checksum, flat.checksum,
-        "blocked closure diverges from flat CSR"
-    );
-    println!(
-        "{:<12} {:>14} {:>14} {:>7}",
-        "storage", "peak-bytes", "final-bytes", "rounds"
-    );
-    for (name, run) in [("blocked", &blocked), ("flat_csr", &flat)] {
-        println!(
-            "{:<12} {:>14} {:>14} {:>7}",
-            name, run.peak, run.final_bytes, run.rounds
-        );
-    }
-    let (td, tc, to) = blocked.census.expect("blocked repr reports a census");
-    let reduction_csr = flat.peak as f64 / blocked.peak.max(1) as f64;
-    println!(
-        "closure checksum {:#018x} bit-identical across storages; \
-         final tile census: {td} dense / {tc} csr / {to} coo; \
-         {switches} densify-time format switches",
-        blocked.checksum
-    );
-    println!("peak reduction: {reduction_csr:.2}x vs flat CSR (gate: >= 2.0)");
-
-    // Part B — graphs resident under one catalog budget. Same budget,
-    // same LRU policy, same touch order: the only variable is the
-    // storage format beneath `Matrix::from_csr`.
-    const GRAPHS: usize = 12;
-    let base = g.clone();
-    let flat_probe = {
-        let cat = Catalog::new(1, usize::MAX);
-        cat.add("probe", base.clone());
-        cat.resident("probe", 0, &Instance::cuda_sim())
-            .expect("probe resides")
-            .bytes
-    };
-    let budget = flat_probe * 4 + flat_probe / 2; // fits ~4.5 flat graphs
-    let count_resident = |inst: &Instance| -> usize {
-        let cat = Catalog::new(1, budget);
-        for i in 0..GRAPHS {
-            cat.add(&format!("g{i}"), base.clone());
-        }
-        for i in 0..GRAPHS {
-            cat.resident(&format!("g{i}"), 0, inst).expect("resides");
-        }
-        cat.resident_count(0)
-    };
-    let flat_resident = count_resident(&Instance::cuda_sim());
-    let blocked_resident = count_resident(&Instance::blocked(Backend::CudaSim));
-    let residency_gain = blocked_resident as f64 / flat_resident.max(1) as f64;
-    println!(
-        "catalog: budget {budget} B ({GRAPHS} graphs offered): flat CSR holds {flat_resident}, \
-         blocked holds {blocked_resident} ({residency_gain:.2}x, gate: >= 1.5)"
-    );
-
-    let json = format!(
-        "{{\n  \"graph\": \"LUBM\", \"n\": {n}, \"nnz\": {},\n  \
-         \"closure\": {{\n    \
-         \"blocked\": {{\"peak_bytes\": {}, \"final_bytes\": {}, \"rounds\": {}}},\n    \
-         \"flat_csr\": {{\"peak_bytes\": {}, \"final_bytes\": {}, \"rounds\": {}}}\n  }},\n  \
-         \"checksum\": \"{:#018x}\",\n  \
-         \"peak_reduction_vs_csr\": {reduction_csr:.2},\n  \
-         \"tile_census\": {{\"dense\": {td}, \"csr\": {tc}, \"coo\": {to}}},\n  \
-         \"format_switches\": {switches},\n  \
-         \"catalog\": {{\"budget_bytes\": {budget}, \"graphs_offered\": {GRAPHS}, \
-         \"flat_resident\": {flat_resident}, \"blocked_resident\": {blocked_resident}, \
-         \"residency_gain\": {residency_gain:.2}}}\n}}\n",
-        adj.nnz(),
-        blocked.peak,
-        blocked.final_bytes,
-        blocked.rounds,
-        flat.peak,
-        flat.final_bytes,
-        flat.rounds,
-        blocked.checksum,
-    );
-    std::fs::write("BENCH_memory.json", json).unwrap_or_else(|e| {
-        eprintln!("cannot write BENCH_memory.json: {e}");
-        std::process::exit(1);
-    });
-    println!("\nwrote BENCH_memory.json");
-
-    records.push(JsonRecord {
-        experiment: "memory".into(),
-        config: vec![
-            ("blocked_peak_bytes".into(), blocked.peak.to_string()),
-            ("flat_csr_peak_bytes".into(), flat.peak.to_string()),
-            (
-                "peak_reduction_vs_csr".into(),
-                format!("{reduction_csr:.2}"),
-            ),
-            ("format_switches".into(), switches.to_string()),
-            ("flat_resident".into(), flat_resident.to_string()),
-            ("blocked_resident".into(), blocked_resident.to_string()),
-        ],
-        launches: 0,
-        insertions: 0,
-        h2d_bytes: 0,
-        d2h_bytes: 0,
-        d2d_bytes: 0,
-        peak_bytes: blocked.peak,
-    });
-
-    // The CI memory-smoke gates.
-    let mut failed = false;
-    if reduction_csr < 2.0 {
-        eprintln!(
-            "MEMORY GATE FAILED: peak {reduction_csr:.2}x vs flat CSR, need >= 2.0 \
-             (blocked {} B vs flat {} B)",
-            blocked.peak, flat.peak
-        );
-        failed = true;
-    }
-    if residency_gain < 1.5 {
-        eprintln!(
-            "MEMORY GATE FAILED: residency gain {residency_gain:.2}x, need >= 1.5 \
-             (blocked {blocked_resident} vs flat {flat_resident} graphs)"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(2);
-    }
-    println!(
-        "memory gates passed: peak {reduction_csr:.2}x >= 2.0, residency {residency_gain:.2}x >= 1.5"
-    );
-}
-
 // ---------------------------------------------------------------- E9
 fn formats() {
     header("§IV — CSR vs COO storage across sparsity (format-choice claim)");
@@ -1604,941 +439,4 @@ fn formats() {
             }
         );
     }
-    let _ = Matrix::zeros(&Instance::cpu(), 1, 1); // keep Matrix import honest
-}
-
-// ---------------------------------------------------------------- E17
-fn load(records: &mut Vec<JsonRecord>) {
-    header("E17 — open-loop load: saturation sweep + QoS admission tiers");
-    println!("(arrivals are drawn up front from a seeded Poisson process and");
-    println!(" submitted on schedule whether or not earlier requests finished —");
-    println!(" no coordinated omission; latency is charged from the scheduled");
-    println!(" arrival, rejections are counted, never retried. The sweep walks an");
-    println!(" offered-rate ladder calibrated to the measured service time; the");
-    println!(" QoS rung then overloads the engine and checks that batch-tier");
-    println!(" admission gives way before the interactive tier does)\n");
-    use spbla_durable::{
-        run_open_loop, run_open_loop_mixed, saturation_sweep, write_query_templates, LoadConfig,
-    };
-    use spbla_engine::{Engine, EngineConfig, Query};
-    use spbla_multidev::DeviceGrid;
-
-    let engine = Engine::new(
-        DeviceGrid::new(2),
-        EngineConfig {
-            queue_capacity: 16,
-            ..EngineConfig::default()
-        },
-    );
-    let graph = engine.with_symbols(|table| lubm_rung(1, table));
-    let n_vertices = graph.n_vertices();
-    let write_label = *graph.labels().first().expect("lubm has labels");
-    engine.add_graph("lubm", graph);
-    let queries: Vec<Query> = (0..8u32)
-        .map(|i| Query::RpqFromSource {
-            text: "memberOf . subOrganizationOf*".into(),
-            source: (i * 131) % n_vertices,
-        })
-        .collect();
-
-    // Calibrate the ladder to this machine: mean closed-loop service
-    // time of the template mix sets the rate unit.
-    let calib = std::time::Instant::now();
-    for q in queries.iter().cycle().take(16) {
-        engine
-            .submit("lubm", q.clone())
-            .expect("calibration fits the queue")
-            .wait()
-            .result
-            .expect("calibration completes");
-    }
-    let service_s = calib.elapsed().as_secs_f64() / 16.0;
-    let unit = 1.0 / service_s.max(1e-6);
-    println!(
-        "calibration: mean service {:.2} ms -> rate unit {:.0} req/s\n",
-        service_s * 1e3,
-        unit
-    );
-
-    let base = LoadConfig {
-        requests: 120,
-        interactive_fraction: 0.3,
-        interactive_deadline_ms: Some(250),
-        batch_deadline_ms: None,
-        ..LoadConfig::default()
-    };
-    let rates: Vec<f64> = [0.4, 0.8, 1.6, 3.2, 6.4].iter().map(|m| m * unit).collect();
-    let (points, saturation) = saturation_sweep(&engine, "lubm", &queries, &[], &base, &rates);
-    println!(
-        "{:>9} {:>9} {:>8} {:>7} {:>9} {:>9} {:>9} {:>9}  sat",
-        "rate", "achieved", "rejects", "dead", "int-p50", "int-p95", "bat-p50", "bat-p95"
-    );
-    for p in &points {
-        let r = &p.report;
-        println!(
-            "{:>9.0} {:>9.1} {:>8} {:>7} {:>8.1}m {:>8.1}m {:>8.1}m {:>8.1}m  {}",
-            p.rate,
-            r.achieved_rate,
-            r.rejected(),
-            r.interactive.deadline_exceeded + r.batch.deadline_exceeded,
-            r.interactive.p50_us as f64 / 1e3,
-            r.interactive.p95_us as f64 / 1e3,
-            r.batch.p50_us as f64 / 1e3,
-            r.batch.p95_us as f64 / 1e3,
-            if r.saturated() { "yes" } else { "no" }
-        );
-    }
-    match saturation {
-        Some(rate) => println!("\nsaturation detected at {rate:.0} req/s offered"),
-        None => println!("\nno saturation up to {:.0} req/s", rates[rates.len() - 1]),
-    }
-
-    // The QoS rung: well past saturation, where admission is the only
-    // thing keeping the interactive tier alive.
-    let qos_rate = saturation.unwrap_or(rates[rates.len() - 1]) * 2.0;
-    let qos_config = LoadConfig {
-        rate_per_sec: qos_rate,
-        requests: 160,
-        seed: base.seed.wrapping_add(1000),
-        ..base.clone()
-    };
-    let qos = run_open_loop(&engine, "lubm", &queries, &qos_config);
-    let int_rej_rate = qos.interactive.rejected as f64 / qos.interactive.offered.max(1) as f64;
-    let bat_rej_rate = qos.batch.rejected as f64 / qos.batch.offered.max(1) as f64;
-    println!(
-        "\nQoS rung at {qos_rate:.0} req/s: interactive {}/{} rejected ({:.0}%), \
-         batch {}/{} rejected ({:.0}%), interactive p95 {:.1} ms",
-        qos.interactive.rejected,
-        qos.interactive.offered,
-        int_rej_rate * 100.0,
-        qos.batch.rejected,
-        qos.batch.offered,
-        bat_rej_rate * 100.0,
-        qos.interactive.p95_us as f64 / 1e3
-    );
-
-    // The write-mix rung: a quarter of arrivals are update batches on
-    // the batch tier, offered well below saturation — reads must keep
-    // their SLOs and the writes must all land.
-    let mix_rate = rates[0]; // 0.4× the calibrated unit: every write
-                             // invalidates the cached closure, so the
-                             // mixed rung's sustainable rate sits well
-                             // below the read-only ladder's
-    let mix_config = LoadConfig {
-        rate_per_sec: mix_rate,
-        requests: 120,
-        seed: base.seed.wrapping_add(2000),
-        write_fraction: 0.25,
-        ..base.clone()
-    };
-    let write_templates = write_query_templates(write_label, n_vertices, 8, 8, mix_config.seed);
-    let mix = run_open_loop_mixed(&engine, "lubm", &queries, &write_templates, &mix_config);
-    println!(
-        "\nwrite mix at {mix_rate:.0} req/s (25% writes): reads int p50/p95/p99 \
-         {:.1}/{:.1}/{:.1} ms, bat {:.1}/{:.1}/{:.1} ms, writes {}/{} completed \
-         p50/p95/p99 {:.1}/{:.1}/{:.1} ms, saturated {}",
-        mix.interactive.p50_us as f64 / 1e3,
-        mix.interactive.p95_us as f64 / 1e3,
-        mix.interactive.p99_us as f64 / 1e3,
-        mix.batch.p50_us as f64 / 1e3,
-        mix.batch.p95_us as f64 / 1e3,
-        mix.batch.p99_us as f64 / 1e3,
-        mix.writes.completed,
-        mix.writes.offered,
-        mix.writes.p50_us as f64 / 1e3,
-        mix.writes.p95_us as f64 / 1e3,
-        mix.writes.p99_us as f64 / 1e3,
-        if mix.saturated() { "yes" } else { "no" }
-    );
-    engine.shutdown();
-
-    let sweep_rows = points
-        .iter()
-        .map(|p| {
-            let r = &p.report;
-            format!(
-                r#"    {{"rate": {:.1}, "achieved": {:.1}, "offered": {}, "rejected": {}, "deadline_exceeded": {}, "interactive_p50_us": {}, "interactive_p95_us": {}, "interactive_p99_us": {}, "batch_p50_us": {}, "batch_p95_us": {}, "batch_p99_us": {}, "saturated": {}}}"#,
-                p.rate,
-                r.achieved_rate,
-                r.offered(),
-                r.rejected(),
-                r.interactive.deadline_exceeded + r.batch.deadline_exceeded,
-                r.interactive.p50_us,
-                r.interactive.p95_us,
-                r.interactive.p99_us,
-                r.batch.p50_us,
-                r.batch.p95_us,
-                r.batch.p99_us,
-                r.saturated()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    // Interactive p95 must stay under the deadline plus scheduling
-    // slack while the batch tier is saturated away.
-    let p95_bound_us: u64 = 400_000;
-    let json = format!(
-        "{{\n  \"service_ms\": {:.3}, \"rate_unit\": {:.1},\n  \"sweep\": [\n{sweep_rows}\n  ],\n  \
-         \"saturation_rate\": {},\n  \"qos\": {{\"rate\": {qos_rate:.1}, \
-         \"interactive_offered\": {}, \"interactive_rejected\": {}, \
-         \"interactive_p95_us\": {}, \"batch_offered\": {}, \"batch_rejected\": {}, \
-         \"batch_p95_us\": {}}},\n  \"p95_bound_us\": {p95_bound_us},\n  \
-         \"write_mix\": {{\"rate\": {mix_rate:.1}, \"write_fraction\": 0.25, \
-         \"writes_offered\": {}, \"writes_completed\": {}, \"writes_failed\": {}, \
-         \"writes_p50_us\": {}, \"writes_p95_us\": {}, \"writes_p99_us\": {}, \
-         \"interactive_p50_us\": {}, \"interactive_p95_us\": {}, \"interactive_p99_us\": {}, \
-         \"batch_p50_us\": {}, \"batch_p95_us\": {}, \"batch_p99_us\": {}, \
-         \"saturated\": {}}}\n}}\n",
-        service_s * 1e3,
-        unit,
-        saturation.map_or("null".into(), |r| format!("{r:.1}")),
-        qos.interactive.offered,
-        qos.interactive.rejected,
-        qos.interactive.p95_us,
-        qos.batch.offered,
-        qos.batch.rejected,
-        qos.batch.p95_us,
-        mix.writes.offered,
-        mix.writes.completed,
-        mix.writes.failed,
-        mix.writes.p50_us,
-        mix.writes.p95_us,
-        mix.writes.p99_us,
-        mix.interactive.p50_us,
-        mix.interactive.p95_us,
-        mix.interactive.p99_us,
-        mix.batch.p50_us,
-        mix.batch.p95_us,
-        mix.batch.p99_us,
-        mix.saturated(),
-    );
-    std::fs::write("BENCH_load.json", json).unwrap_or_else(|e| {
-        eprintln!("cannot write BENCH_load.json: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote BENCH_load.json");
-
-    records.push(JsonRecord {
-        experiment: "load".into(),
-        config: vec![
-            ("qos_rate".into(), format!("{qos_rate:.1}")),
-            (
-                "saturation_rate".into(),
-                saturation.map_or("never".into(), |r| format!("{r:.1}")),
-            ),
-            (
-                "interactive_p95_us".into(),
-                qos.interactive.p95_us.to_string(),
-            ),
-            ("batch_p95_us".into(), qos.batch.p95_us.to_string()),
-            (
-                "interactive_rejected".into(),
-                qos.interactive.rejected.to_string(),
-            ),
-            ("batch_rejected".into(), qos.batch.rejected.to_string()),
-        ],
-        launches: 0,
-        insertions: 0,
-        h2d_bytes: 0,
-        d2h_bytes: 0,
-        d2d_bytes: 0,
-        peak_bytes: 0,
-    });
-
-    // The CI load-smoke gates.
-    let mut failed = false;
-    if points.first().map(|p| p.report.saturated()) == Some(true) {
-        eprintln!("LOAD GATE FAILED: the lowest rung already saturates — ladder miscalibrated");
-        failed = true;
-    }
-    if saturation.is_none() {
-        eprintln!(
-            "LOAD GATE FAILED: no saturation point detected up to {:.0} req/s",
-            rates[rates.len() - 1]
-        );
-        failed = true;
-    }
-    if qos.batch.rejected == 0 {
-        eprintln!("LOAD GATE FAILED: batch tier never bounced at the QoS rung — admission idle");
-        failed = true;
-    }
-    if int_rej_rate >= bat_rej_rate {
-        eprintln!(
-            "LOAD GATE FAILED: interactive rejection rate {:.2} >= batch {:.2} — tiers inverted",
-            int_rej_rate, bat_rej_rate
-        );
-        failed = true;
-    }
-    if qos.interactive.p95_us > p95_bound_us {
-        eprintln!(
-            "LOAD GATE FAILED: interactive p95 {} us over the {} us bound under overload",
-            qos.interactive.p95_us, p95_bound_us
-        );
-        failed = true;
-    }
-    if mix.saturated() {
-        eprintln!(
-            "LOAD GATE FAILED: write mix saturated at {mix_rate:.0} req/s — \
-             writes starve the sub-saturation read path"
-        );
-        failed = true;
-    }
-    if mix.writes.offered == 0 || mix.writes.completed == 0 {
-        eprintln!(
-            "LOAD GATE FAILED: write mix scheduled {} writes, completed {}",
-            mix.writes.offered, mix.writes.completed
-        );
-        failed = true;
-    }
-    if mix.writes.failed > 0 {
-        eprintln!(
-            "LOAD GATE FAILED: {} write batches failed outright",
-            mix.writes.failed
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(2);
-    }
-    println!(
-        "load gates passed: saturation at {:.0} req/s, batch bounced first \
-         ({:.0}% vs {:.0}%), interactive p95 {:.1} ms <= {:.0} ms",
-        saturation.unwrap_or(0.0),
-        bat_rej_rate * 100.0,
-        int_rej_rate * 100.0,
-        qos.interactive.p95_us as f64 / 1e3,
-        p95_bound_us as f64 / 1e3
-    );
-}
-
-// ---------------------------------------------------------------- E18
-fn replication(records: &mut Vec<JsonRecord>) {
-    header("E18 — replicated grids: bit-identity + read-capacity scaling");
-    println!("(R copies of one versioned graph, each on its own device grid,");
-    println!(" behind a single write path; updates fan out through the comm");
-    println!(" layer at WAL wire size. Every replica must answer with the same");
-    println!(" closure checksum, and aggregate read capacity — each replica is");
-    println!(" an independent grid, so capacity is the sum of per-replica");
-    println!(" measured read rates — must scale with R. A shared lock or");
-    println!(" fan-out pollution on the read path would show up here as a");
-    println!(" per-replica rate drop and fail the gate)\n");
-    use spbla_durable::ReplicaSet;
-    use spbla_stream::UpdateBatch;
-
-    let mut table = SymbolTable::new();
-    let graph = lubm_rung(1, &mut table);
-    let member = table.get("memberOf").expect("lubm label");
-    let n = graph.n_vertices();
-    println!("LUBM fixture n={n}, nnz={}\n", graph.n_edges());
-
-    const BATCHES: u32 = 6;
-    const READS: usize = 8;
-    println!(
-        "{:>9} {:>12} {:>14} {:>14} {:>16}",
-        "replicas", "checksum", "read-ms/rep", "agg-reads/s", "fanout-d2d-B"
-    );
-    let mut results: Vec<(usize, u64, f64, u64)> = Vec::new();
-    for replicas in [1usize, 2, 3] {
-        let set = ReplicaSet::new(&graph, replicas, 1).expect("replica set builds");
-        for k in 0..BATCHES {
-            let mut batch = UpdateBatch::new();
-            batch.insert(k % n, member, (k * 17 + 1) % n).insert(
-                (k * 31) % n,
-                member,
-                (k * 7 + 3) % n,
-            );
-            set.apply(&batch).expect("fan-out applies");
-        }
-        // Bit-identity across the whole set before anything is timed.
-        let reads: Vec<_> = (0..replicas)
-            .map(|r| set.read_closure_on(r).expect("replica read"))
-            .collect();
-        let checksum = reads[0].checksum;
-        assert!(
-            reads.iter().all(|r| r.checksum == checksum),
-            "replica checksums diverged at R={replicas}"
-        );
-        assert!(reads.iter().all(|r| r.version == BATCHES as u64));
-        // Per-replica read rate, measured serially on each replica's own
-        // grid (single-core host: wall-clock thread scaling is not
-        // available, replica independence is what's being certified).
-        let mut per_replica_s = Vec::with_capacity(replicas);
-        for r in 0..replicas {
-            let t = time_avg(READS, || {
-                std::hint::black_box(set.read_closure_on(r).expect("replica read").pairs.len());
-            });
-            per_replica_s.push(t.as_secs_f64());
-        }
-        let mean_read_s = per_replica_s.iter().sum::<f64>() / replicas as f64;
-        let aggregate = per_replica_s.iter().map(|s| 1.0 / s.max(1e-9)).sum::<f64>();
-        // Routed reads: the rotating cursor must spread load.
-        let mut served = vec![0usize; replicas];
-        for _ in 0..replicas * 4 {
-            served[set
-                .read_closure(BATCHES as u64)
-                .expect("routed read")
-                .replica] += 1;
-        }
-        assert!(
-            served.iter().all(|&c| c > 0),
-            "routing starved a replica at R={replicas}: {served:?}"
-        );
-        let fanout = spbla_obs::metrics_global()
-            .counter("spbla_replica_fanout_bytes_total")
-            .get();
-        println!(
-            "{:>9} {:>12x} {:>14.2} {:>14.1} {:>16}",
-            replicas,
-            checksum,
-            mean_read_s * 1e3,
-            aggregate,
-            fanout
-        );
-        results.push((replicas, checksum, aggregate, fanout));
-    }
-
-    let base_checksum = results[0].1;
-    assert!(
-        results.iter().all(|&(_, c, _, _)| c == base_checksum),
-        "checksum changed with replica count"
-    );
-    let scaling = results[2].2 / results[0].2.max(1e-9);
-    println!("\nread-capacity scaling at 3 replicas: {scaling:.2}x vs 1");
-
-    let rows = results
-        .iter()
-        .map(|(r, c, agg, fanout)| {
-            format!(
-                r#"    {{"replicas": {r}, "checksum": "{c:016x}", "aggregate_reads_per_s": {agg:.1}, "fanout_d2d_bytes": {fanout}}}"#
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"graph\": \"LUBM\", \"n\": {n}, \"batches\": {BATCHES},\n  \
-         \"sets\": [\n{rows}\n  ],\n  \
-         \"scaling_3v1\": {scaling:.3}, \"bit_identical\": true\n}}\n"
-    );
-    std::fs::write("BENCH_replication.json", json).unwrap_or_else(|e| {
-        eprintln!("cannot write BENCH_replication.json: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote BENCH_replication.json");
-
-    records.push(JsonRecord {
-        experiment: "replication".into(),
-        config: vec![
-            ("checksum".into(), format!("{base_checksum:016x}")),
-            ("scaling_3v1".into(), format!("{scaling:.3}")),
-            ("fanout_d2d_bytes".into(), results[2].3.to_string()),
-        ],
-        launches: 0,
-        insertions: 0,
-        h2d_bytes: 0,
-        d2h_bytes: 0,
-        d2d_bytes: results[2].3,
-        peak_bytes: 0,
-    });
-
-    // The CI recovery-smoke gate: replicas must be useful, not just equal.
-    if scaling < 1.8 {
-        eprintln!(
-            "REPLICATION GATE FAILED: read capacity {scaling:.2}x at 3 replicas, need >= 1.8"
-        );
-        std::process::exit(2);
-    }
-    println!("replication gates passed: bit-identical checksums, {scaling:.2}x >= 1.8");
-}
-
-// ---------------------------------------------------------------- E19
-fn condense(records: &mut Vec<JsonRecord>) {
-    header("CONDENSE — SCC condensation preprocessing vs direct delta closure (E19 gate)");
-    println!("(the claims to check: running the fused fixpoint on the SCC");
-    println!(" condensation DAG and expanding back launches >= 1.5x fewer kernels");
-    println!(" and performs >= 2x fewer accumulator insertions than the direct");
-    println!(" delta closure on an SCC-heavy graph, answers bit-identically on");
-    println!(" 1/2/4-device grids, and incremental SCC maintenance under an");
-    println!(" insert/delete stream matches per-version recompute exactly)\n");
-    use spbla_graph::closure::{closure_delta, closure_delta_dist};
-    use spbla_multidev::DeviceGrid;
-    use spbla_prep::condensed_closure;
-    use spbla_stream::{MaintainMode, SccView};
-
-    // SCC-heavy synthetic: a chain of cycles. Each block is one strongly
-    // connected component; the condensation is a 24-vertex path whose
-    // closure the DAG fixpoint settles in O(log levels) rounds, while
-    // the direct closure grinds out every dense all-pairs block through
-    // the SpGEMM accumulator.
-    let blocks = 24u32;
-    let cycle = 12u32;
-    let n = blocks * cycle;
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for b in 0..blocks {
-        let base = b * cycle;
-        for k in 0..cycle {
-            pairs.push((base + k, base + (k + 1) % cycle));
-        }
-        if b + 1 < blocks {
-            pairs.push((base, base + cycle));
-        }
-    }
-    let inst = Instance::cuda_sim();
-    let device = inst.device().expect("cuda-sim has a device");
-    let m = upload(&inst, n, &pairs);
-
-    let s0 = device.stats();
-    let direct = closure_delta(&m).expect("direct closure");
-    let s1 = device.stats();
-    let (condensed, stats) = condensed_closure(&inst, n, &pairs).expect("condensed closure");
-    let s2 = device.stats();
-    let direct_launches = s1.launches - s0.launches;
-    let direct_insertions = s1.accum_insertions - s0.accum_insertions;
-    let cond_launches = s2.launches - s1.launches;
-    let cond_insertions = s2.accum_insertions - s1.accum_insertions;
-    let direct_pairs = direct.read();
-    assert_eq!(
-        condensed.read(),
-        direct_pairs,
-        "condensed closure diverges from direct"
-    );
-    let reference_sum = fnv_pairs(&direct_pairs);
-    let t_direct = time_avg(RUNS, || {
-        closure_delta(&m).expect("direct closure");
-    });
-    let t_cond = time_avg(RUNS, || {
-        condensed_closure(&inst, n, &pairs).expect("condensed closure");
-    });
-    println!(
-        "SCC-heavy synthetic: n={n}, nnz={}, {} SCCs (ratio {:.3}), {} DAG levels",
-        pairs.len(),
-        stats.n_components,
-        stats.condensation_ratio,
-        stats.levels
-    );
-    println!(
-        "direct delta closure:    {direct_launches} launches, {direct_insertions} insertions, {}s",
-        secs(t_direct)
-    );
-    println!(
-        "condensed delta closure: {cond_launches} launches, {cond_insertions} insertions, \
-         {} rounds on the DAG, {}s",
-        stats.rounds,
-        secs(t_cond)
-    );
-    let launch_ratio = direct_launches as f64 / cond_launches.max(1) as f64;
-    let insertion_ratio = direct_insertions as f64 / cond_insertions.max(1) as f64;
-    println!(
-        "reductions: {launch_ratio:.2}x launches (gate >= 1.5), \
-         {insertion_ratio:.2}x insertions (gate >= 2)"
-    );
-
-    // LUBM: almost a DAG already (condensation ratio ~1) — the
-    // preprocessing must stay cheap and bit-identical there, not win.
-    let mut table = SymbolTable::new();
-    let g = lubm_rung(2, &mut table);
-    let lubm_n = g.n_vertices();
-    let lubm_pairs = g.adjacency_csr().to_pairs();
-    let lm = upload(&inst, lubm_n, &lubm_pairs);
-    let l0 = device.stats();
-    let lubm_direct = closure_delta(&lm).expect("direct closure");
-    let l1 = device.stats();
-    let (lubm_cond, lubm_stats) =
-        condensed_closure(&inst, lubm_n, &lubm_pairs).expect("condensed closure");
-    let l2 = device.stats();
-    assert_eq!(
-        lubm_cond.read(),
-        lubm_direct.read(),
-        "condensed LUBM closure diverges from direct"
-    );
-    println!(
-        "\nLUBM rung: n={lubm_n}, nnz={}, {} SCCs (ratio {:.3}); \
-         direct {} launches vs condensed {} (bit-identical)",
-        lubm_pairs.len(),
-        lubm_stats.n_components,
-        lubm_stats.condensation_ratio,
-        l1.launches - l0.launches,
-        l2.launches - l1.launches
-    );
-
-    // Grid identity: the direct distributed closure on 1/2/4 devices
-    // must agree with the condensed single-instance answer bitwise.
-    let adj = CsrBool::from_pairs(n, n, &pairs).expect("csr");
-    let mut grid_sums: Vec<(usize, u64)> = Vec::new();
-    for devices in [1usize, 2, 4] {
-        let closed = closure_delta_dist(&adj, &DeviceGrid::new(devices)).expect("dist closure");
-        let sum = fnv_pairs(&closed.to_pairs());
-        assert_eq!(
-            sum, reference_sum,
-            "{devices}-device closure diverges from condensed answer"
-        );
-        grid_sums.push((devices, sum));
-    }
-    println!(
-        "closure checksum {reference_sum:#018x} bit-identical on {} grids",
-        grid_sums
-            .iter()
-            .map(|(d, _)| d.to_string())
-            .collect::<Vec<_>>()
-            .join("/")
-    );
-
-    // Incremental SCC maintenance under a LUBM insert/delete stream:
-    // the component-graph merge path (with the intra-SCC-delete
-    // recompute escape hatch) must land on the same canonical
-    // condensation as a fresh Tarjan run at every version.
-    let mut incremental = SccView::new(lubm_n, &lubm_pairs, MaintainMode::Incremental);
-    let mut recompute = SccView::new(lubm_n, &lubm_pairs, MaintainMode::Recompute);
-    let mut present = lubm_pairs.clone();
-    let mut state = 0x5bd1_e995u64;
-    let mut versions_checked = 0u32;
-    for step in 0..40 {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let u = ((state >> 33) % u64::from(lubm_n)) as u32;
-        let v = ((state >> 13) % u64::from(lubm_n)) as u32;
-        if step % 4 == 3 && !present.is_empty() {
-            // Prefer an intra-component edge so the stream also
-            // exercises the recompute escape hatch, not just the cheap
-            // component-graph merges.
-            let comp_of = &incremental.condensation().comp_of;
-            let idx = present
-                .iter()
-                .position(|&(a, b)| a != b && comp_of[a as usize] == comp_of[b as usize])
-                .unwrap_or((state >> 7) as usize % present.len());
-            let victim = present.remove(idx);
-            incremental.apply(&[], &[victim]);
-            recompute.apply(&[], &[victim]);
-        } else {
-            // Every third insert closes a back-edge over an existing
-            // edge, merging components; the rest are random.
-            let e = if step % 3 == 0 && !present.is_empty() {
-                let (a, b) = present[(state >> 21) as usize % present.len()];
-                (b, a)
-            } else {
-                (u, v)
-            };
-            present.push(e);
-            incremental.apply(&[e], &[]);
-            recompute.apply(&[e], &[]);
-        }
-        assert_eq!(
-            incremental.checksum(),
-            recompute.checksum(),
-            "incremental SCC maintenance diverged at step {step}"
-        );
-        versions_checked += 1;
-    }
-    let inc_stats = incremental.stats();
-    println!(
-        "incremental SCC maintenance: {versions_checked} versions bit-identical to recompute \
-         ({} cheap merges, {} recompute fallbacks)",
-        inc_stats.incremental, inc_stats.recomputes
-    );
-    assert!(
-        inc_stats.incremental > 0 && inc_stats.recomputes > 0,
-        "stream exercised both maintenance paths"
-    );
-
-    let grids_json = grid_sums
-        .iter()
-        .map(|(d, s)| format!(r#"    {{"devices": {d}, "checksum": "{s:#018x}"}}"#))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"graph\": \"scc-chain\", \"n\": {n}, \"nnz\": {}, \"sccs\": {}, \
-         \"condensation_ratio\": {:.4}, \"levels\": {},\n  \
-         \"direct\": {{\"launches\": {direct_launches}, \"insertions\": {direct_insertions}, \"seconds\": {}}},\n  \
-         \"condensed\": {{\"launches\": {cond_launches}, \"insertions\": {cond_insertions}, \"rounds\": {}, \"seconds\": {}}},\n  \
-         \"launch_ratio\": {launch_ratio:.2}, \"insertion_ratio\": {insertion_ratio:.2},\n  \
-         \"lubm\": {{\"n\": {lubm_n}, \"sccs\": {}, \"condensation_ratio\": {:.4}}},\n  \
-         \"incremental_scc\": {{\"versions\": {versions_checked}, \"merges\": {}, \"recomputes\": {}, \"identical\": true}},\n  \
-         \"closure_checksums\": [\n{grids_json}\n  ]\n}}\n",
-        pairs.len(),
-        stats.n_components,
-        stats.condensation_ratio,
-        stats.levels,
-        secs(t_direct),
-        stats.rounds,
-        secs(t_cond),
-        lubm_stats.n_components,
-        lubm_stats.condensation_ratio,
-        inc_stats.incremental,
-        inc_stats.recomputes,
-    );
-    std::fs::write("BENCH_condense.json", json).unwrap_or_else(|e| {
-        eprintln!("cannot write BENCH_condense.json: {e}");
-        std::process::exit(1);
-    });
-    println!("\nwrote BENCH_condense.json");
-
-    let s = device.stats();
-    records.push(JsonRecord {
-        experiment: "condense".into(),
-        config: vec![
-            ("direct_launches".into(), direct_launches.to_string()),
-            ("condensed_launches".into(), cond_launches.to_string()),
-            ("direct_insertions".into(), direct_insertions.to_string()),
-            ("condensed_insertions".into(), cond_insertions.to_string()),
-            ("launch_ratio".into(), format!("{launch_ratio:.2}")),
-            ("insertion_ratio".into(), format!("{insertion_ratio:.2}")),
-            ("sccs".into(), stats.n_components.to_string()),
-        ],
-        launches: s.launches,
-        insertions: s.accum_insertions,
-        h2d_bytes: s.h2d_bytes,
-        d2h_bytes: s.d2h_bytes,
-        d2d_bytes: s.d2d_bytes,
-        peak_bytes: s.peak_bytes,
-    });
-
-    // The CI condense-smoke gates.
-    if launch_ratio < 1.5 {
-        eprintln!(
-            "CONDENSE GATE FAILED: {direct_launches} direct vs {cond_launches} condensed \
-             launches ({launch_ratio:.2}x, need >= 1.5x)"
-        );
-        std::process::exit(2);
-    }
-    if insertion_ratio < 2.0 {
-        eprintln!(
-            "CONDENSE GATE FAILED: {direct_insertions} direct vs {cond_insertions} condensed \
-             insertions ({insertion_ratio:.2}x, need >= 2x)"
-        );
-        std::process::exit(2);
-    }
-    println!(
-        "condense gates passed: {launch_ratio:.2}x >= 1.5x launches, \
-         {insertion_ratio:.2}x >= 2x insertions, checksums identical"
-    );
-}
-
-// ---------------------------------------------------------------- E20
-fn failover(records: &mut Vec<JsonRecord>) {
-    header("FAILOVER — failure injection, WAL-tail rejoin, group commit (E20 gate)");
-    println!("(the claims to check: with 1 of 3 replicas killed mid-stream the");
-    println!(" set keeps acknowledging writes and serves every routed read —");
-    println!(" zero failures, bit-identical closure checksums against the");
-    println!(" primary at every version; the revived replica rejoins by");
-    println!(" replaying exactly the log tail it missed, never a full copy;");
-    println!(" and group commit spends >= 3x fewer fsyncs than sync-every-");
-    println!(" append at equal load while recovery of the acknowledged prefix");
-    println!(" stays bit-identical between the two modes)\n");
-    use spbla_durable::{recover, DurabilityConfig, DurableLog, RejoinStats, ReplicaSet};
-    use spbla_stream::UpdateBatch;
-
-    let mut table = SymbolTable::new();
-    let graph = lubm_rung(1, &mut table);
-    let member = table.get("memberOf").expect("lubm label");
-    let n = graph.n_vertices();
-    println!("LUBM fixture n={n}, nnz={}\n", graph.n_edges());
-
-    // ---- rung 1: kill replica 1 mid-stream, revive it, keep serving.
-    const BATCHES: u32 = 12;
-    const FAIL_AT: u32 = 4; // fail after this batch acks
-    const REVIVE_AT: u32 = 10; // revive after this batch acks
-    let set = ReplicaSet::new(&graph, 3, 1).expect("replica set builds");
-    let mut reads_served = 0u64;
-    let mut failed_reads = 0u64;
-    let mut served_on_dead = 0u64;
-    let mut rejoin: Option<RejoinStats> = None;
-    for k in 0..BATCHES {
-        let mut batch = UpdateBatch::new();
-        batch
-            .insert(k % n, member, (k * 17 + 1) % n)
-            .insert((k * 31) % n, member, (k * 7 + 3) % n);
-        set.apply(&batch)
-            .expect("write path keeps acknowledging through the failure");
-        // Every write is chased by routed reads at the freshest version;
-        // each must land on a live replica and answer bit-identically to
-        // the primary.
-        let reference = set
-            .read_closure_on(0)
-            .expect("primary always serves")
-            .checksum;
-        for _ in 0..3 {
-            match set.read_closure(set.version()) {
-                Ok(read) => {
-                    reads_served += 1;
-                    if set.is_failed(read.replica) {
-                        served_on_dead += 1;
-                    }
-                    assert_eq!(
-                        read.checksum, reference,
-                        "replica {} diverged from primary after batch {k}",
-                        read.replica
-                    );
-                }
-                Err(_) => failed_reads += 1,
-            }
-        }
-        if k + 1 == FAIL_AT {
-            set.fail(1).expect("failure injection");
-            println!("batch {:>2}: replica 1 killed", k + 1);
-        }
-        if k + 1 == REVIVE_AT {
-            let stats = set.revive(1).expect("revive");
-            println!(
-                "batch {:>2}: replica 1 rejoined, replayed {} batches (full_resync={})",
-                k + 1,
-                stats.replayed,
-                stats.full_resync
-            );
-            rejoin = Some(stats);
-        }
-    }
-    let missed = (REVIVE_AT - FAIL_AT) as u64;
-    let rejoin = rejoin.expect("revive ran");
-    let finals: Vec<_> = (0..set.len())
-        .map(|r| set.read_closure_on(r).expect("replica read"))
-        .collect();
-    let checksum = finals[0].checksum;
-    let bit_identical = finals
-        .iter()
-        .all(|r| r.checksum == checksum && r.version == set.version());
-    println!(
-        "\nstream done: {reads_served} routed reads served, {failed_reads} failed, \
-         checksum {checksum:016x} on all {} replicas, log entries left: {}",
-        set.len(),
-        set.log_entries()
-    );
-
-    // ---- rung 2: group commit vs sync-every-append at equal load.
-    const APPENDS: u64 = 48;
-    const FLUSH_EVERY: u64 = 8;
-    let scratch = std::env::temp_dir().join(format!("spbla-failover-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let dir_sync = scratch.join("sync");
-    let dir_group = scratch.join("group");
-    std::fs::create_dir_all(&dir_sync).expect("scratch dir");
-    std::fs::create_dir_all(&dir_group).expect("scratch dir");
-    let mk_config = |group_commit| DurabilityConfig {
-        checkpoint_every: 0,
-        group_commit,
-        flush_every: FLUSH_EVERY,
-        ..DurabilityConfig::default()
-    };
-    let mut log_sync =
-        DurableLog::open(&dir_sync, mk_config(false), &graph, 0, &table).expect("sync log opens");
-    let mut log_group =
-        DurableLog::open(&dir_group, mk_config(true), &graph, 0, &table).expect("group log opens");
-    for v in 1..=APPENDS {
-        let mut batch = UpdateBatch::new();
-        let k = v as u32;
-        batch.insert(k % n, member, (k * 13 + 5) % n);
-        log_sync
-            .append(v, &batch, &graph, &table)
-            .expect("sync append");
-        log_group
-            .append(v, &batch, &graph, &table)
-            .expect("group append");
-    }
-    log_sync.flush().expect("sync flush");
-    log_group.flush().expect("group flush");
-    let (sync_fsyncs, group_fsyncs) = (log_sync.fsyncs(), log_group.fsyncs());
-    let economy = sync_fsyncs as f64 / (group_fsyncs as f64).max(1.0);
-    assert_eq!(log_sync.acked_version(), APPENDS);
-    assert_eq!(log_group.acked_version(), APPENDS);
-    let rec_sync = recover(&dir_sync, &mut table).expect("sync recovery");
-    let rec_group = recover(&dir_group, &mut table).expect("group recovery");
-    let prefixes_identical = rec_sync.head_version == rec_group.head_version
-        && rec_sync.tail.len() == rec_group.tail.len()
-        && rec_sync
-            .tail
-            .iter()
-            .zip(rec_group.tail.iter())
-            .all(|((va, ba), (vb, bb))| va == vb && ba.ops() == bb.ops());
-    println!(
-        "group commit: {APPENDS} appends — {sync_fsyncs} fsyncs sync-every-append vs \
-         {group_fsyncs} grouped ({economy:.1}x), recovered heads {} / {}",
-        rec_sync.head_version, rec_group.head_version
-    );
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    let json = format!(
-        "{{\n  \"graph\": \"LUBM\", \"n\": {n}, \"replicas\": {}, \"batches\": {BATCHES},\n  \
-         \"fail_at\": {FAIL_AT}, \"revive_at\": {REVIVE_AT},\n  \
-         \"reads_served\": {reads_served}, \"failed_reads\": {failed_reads}, \
-         \"served_on_dead\": {served_on_dead},\n  \
-         \"checksum\": \"{checksum:016x}\", \"bit_identical\": {bit_identical},\n  \
-         \"rejoin\": {{\"replayed\": {}, \"missed\": {missed}, \"full_resync\": {}}},\n  \
-         \"group_commit\": {{\"appends\": {APPENDS}, \"flush_every\": {FLUSH_EVERY}, \
-         \"sync_fsyncs\": {sync_fsyncs}, \"group_fsyncs\": {group_fsyncs}, \
-         \"economy\": {economy:.2}, \"prefixes_identical\": {prefixes_identical}}}\n}}\n",
-        set.len(),
-        rejoin.replayed,
-        rejoin.full_resync,
-    );
-    std::fs::write("BENCH_failover.json", json).unwrap_or_else(|e| {
-        eprintln!("cannot write BENCH_failover.json: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote BENCH_failover.json");
-
-    records.push(JsonRecord {
-        experiment: "failover".into(),
-        config: vec![
-            ("checksum".into(), format!("{checksum:016x}")),
-            ("failed_reads".into(), failed_reads.to_string()),
-            ("replayed".into(), rejoin.replayed.to_string()),
-            ("fsync_economy".into(), format!("{economy:.2}")),
-        ],
-        launches: 0,
-        insertions: 0,
-        h2d_bytes: 0,
-        d2h_bytes: 0,
-        d2d_bytes: 0,
-        peak_bytes: 0,
-    });
-
-    // The CI failover-smoke gates.
-    let mut failed = false;
-    if failed_reads > 0 || served_on_dead > 0 {
-        eprintln!(
-            "FAILOVER GATE FAILED: {failed_reads} routed reads failed, \
-             {served_on_dead} landed on the dead replica (need 0 / 0)"
-        );
-        failed = true;
-    }
-    if !bit_identical {
-        eprintln!("FAILOVER GATE FAILED: replica closure checksums diverged after rejoin");
-        failed = true;
-    }
-    if rejoin.replayed != missed || rejoin.full_resync {
-        eprintln!(
-            "FAILOVER GATE FAILED: rejoin replayed {} of {missed} missed batches \
-             (full_resync={}) — must replay exactly the lag, never a full copy",
-            rejoin.replayed, rejoin.full_resync
-        );
-        failed = true;
-    }
-    if set.log_entries() != 0 {
-        eprintln!(
-            "FAILOVER GATE FAILED: {} replication-log entries retained after \
-             every replica caught up (need 0)",
-            set.log_entries()
-        );
-        failed = true;
-    }
-    if economy < 3.0 {
-        eprintln!(
-            "FAILOVER GATE FAILED: group commit saved only {economy:.1}x fsyncs \
-             at equal load (need >= 3x)"
-        );
-        failed = true;
-    }
-    if !prefixes_identical {
-        eprintln!(
-            "FAILOVER GATE FAILED: recovered acknowledged prefixes differ \
-             between sync and group-commit logs"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(2);
-    }
-    println!(
-        "failover gates passed: 0 failed reads, bit-identical checksums, \
-         rejoin replayed {missed}/{missed}, {economy:.1}x fsync economy"
-    );
 }

@@ -1,7 +1,9 @@
 /* spbla.h — C interface of the SPbLA Rust reproduction.
  *
- * Link against the `spbla_capi` static/cdylib build. All functions
- * return spbla_Status; out-parameters are written only on SPBLA_OK,
+ * Link against the static library built by `cargo build -p spbla-capi`
+ * (libspbla_capi.a) plus -lpthread -ldl -lm; crates/capi/c/smoke.c is
+ * a minimal program. All functions return spbla_Status;
+ * out-parameters are written only on SPBLA_OK,
  * with one exception: a trace or metrics dump into a too-short buffer
  * returns SPBLA_ERROR, yet writes a sufficient size to *len (see below).
  * Matrix reads use a two-call protocol: pass NULL buffers to query the

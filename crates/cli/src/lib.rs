@@ -8,7 +8,6 @@
 //! spbla closure <graph.triples> [--backend B] [--devices N]
 //! spbla bfs <graph.triples> <source>
 //! spbla engine [graph.triples] [--devices N] [--clients C] [--requests R]
-//! spbla load [graph.triples] [--rate R] [--requests N] [--sweep on|off]
 //! spbla recover <dir> [--graph NAME] [--devices N]
 //! ```
 //!
@@ -126,7 +125,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "bfs" => cmd_bfs(&rest, out),
         "engine" => cmd_engine(&rest, out),
         "stream" => cmd_stream(&rest, out),
-        "load" => cmd_load(&rest, out),
         "recover" => cmd_recover(&rest, out),
         "trace" => cmd_trace(&rest, out),
         "help" | "--help" | "-h" => writeln!(out, "{USAGE}").map_err(CliError::from),
@@ -155,14 +153,6 @@ pub const USAGE: &str = "usage: spbla <command>\n\
            (replay a random update stream through the versioned store; --mode both\n\
             cross-checks incremental maintenance against per-batch recompute;\n\
             --wal durably logs the stream for `spbla recover`)\n\
-  load     [graph.triples] [--devices N] [--rate R] [--requests N] [--seed S]\n\
-           [--queue CAP] [--interactive-fraction F] [--deadline-ms MS]\n\
-           [--write-fraction F] [--sweep on|off]\n\
-           (open-loop seeded-Poisson load against the serving engine: arrivals\n\
-            fire on schedule, rejections are counted, latency includes schedule\n\
-            slip — no coordinated omission; --write-fraction mixes update\n\
-            batches into the stream on the batch tier; --sweep walks a rate\n\
-            ladder to the saturation point)\n\
   recover  <dir> [--graph NAME] [--devices N]\n\
            (rebuild an engine from a durability directory: latest good checkpoint\n\
             plus write-ahead-log tail replay, then serve a closure query from the\n\
@@ -869,147 +859,6 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_load(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    use spbla_durable::{
-        run_open_loop_mixed, saturation_sweep, write_query_templates, LoadConfig, TierStats,
-    };
-    use spbla_engine::{Engine, EngineConfig, Query};
-
-    let devices: usize = opt_parse(args, "devices", 2)?;
-    if devices == 0 {
-        return Err(CliError::usage("--devices must be at least 1"));
-    }
-    let rate: f64 = opt_parse(args, "rate", 400.0)?;
-    if rate <= 0.0 {
-        return Err(CliError::usage("--rate must be positive"));
-    }
-    let requests: usize = opt_parse(args, "requests", 120)?;
-    let seed: u64 = opt_parse(args, "seed", 1)?;
-    let queue_capacity: usize = opt_parse(args, "queue", 16)?;
-    let interactive_fraction: f64 = opt_parse(args, "interactive-fraction", 0.3)?;
-    let deadline_ms: u64 = opt_parse(args, "deadline-ms", 250)?;
-    let write_fraction: f64 = opt_parse(args, "write-fraction", 0.0)?;
-    if !(0.0..=1.0).contains(&write_fraction) {
-        return Err(CliError::usage("--write-fraction must be in [0, 1]"));
-    }
-    let sweep = opt_on_off(args, "sweep", false)?;
-
-    let engine = Engine::new(
-        spbla_multidev::DeviceGrid::new(devices),
-        EngineConfig {
-            queue_capacity,
-            ..EngineConfig::default()
-        },
-    );
-    let graph = match args.positional.first() {
-        Some(path) => engine.with_symbols(|table| load_graph(path, table))?,
-        None => engine.with_symbols(|table| {
-            spbla_data::lubm::lubm_like(1, &spbla_data::lubm::LubmConfig::default(), table, seed)
-        }),
-    };
-    let n_vertices = graph.n_vertices();
-    let busiest = engine.with_symbols(|table| {
-        let mut labels: Vec<(usize, String)> = graph
-            .labels()
-            .into_iter()
-            .map(|s| (graph.label_count(s), table.name(s).to_string()))
-            .collect();
-        labels.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        labels
-            .first()
-            .map(|(_, n)| n.clone())
-            .ok_or_else(|| CliError::run("graph has no labelled edges"))
-    })?;
-    engine.add_graph("g", graph);
-    let queries: Vec<Query> = (0..8u64)
-        .map(|i| Query::RpqFromSource {
-            text: format!("{busiest}*"),
-            source: ((i * 131) % u64::from(n_vertices.max(1))) as u32,
-        })
-        .collect();
-
-    let writes = if write_fraction > 0.0 {
-        let label = engine.with_symbols(|table| {
-            table
-                .get(&busiest)
-                .ok_or_else(|| CliError::run("busiest label not interned"))
-        })?;
-        write_query_templates(label, n_vertices, 4, 8, seed)
-    } else {
-        Vec::new()
-    };
-    let config = LoadConfig {
-        rate_per_sec: rate,
-        requests,
-        seed,
-        interactive_fraction,
-        interactive_deadline_ms: Some(deadline_ms),
-        batch_deadline_ms: None,
-        write_fraction,
-    };
-    let tier_line = |out: &mut dyn Write, name: &str, t: &TierStats| -> Result<(), CliError> {
-        writeln!(
-            out,
-            "  {name:<12} offered {:>4}  admitted {:>4}  completed {:>4}  rejected {:>4}  \
-             deadline {:>3}  p50 {:>7.2}ms  p95 {:>7.2}ms  p99 {:>7.2}ms",
-            t.offered,
-            t.admitted,
-            t.completed,
-            t.rejected,
-            t.deadline_exceeded,
-            t.p50_us as f64 / 1e3,
-            t.p95_us as f64 / 1e3,
-            t.p99_us as f64 / 1e3
-        )?;
-        Ok(())
-    };
-    if sweep {
-        let rates: Vec<f64> = [0.5, 1.0, 2.0, 4.0, 8.0].iter().map(|m| m * rate).collect();
-        let (points, saturation) =
-            saturation_sweep(&engine, "g", &queries, &writes, &config, &rates);
-        for p in &points {
-            writeln!(
-                out,
-                "rate {:>8.0} req/s: achieved {:>7.1}, rejected {:>4}, saturated {}",
-                p.rate,
-                p.report.achieved_rate,
-                p.report.rejected(),
-                if p.report.saturated() { "yes" } else { "no" }
-            )?;
-            tier_line(out, "interactive", &p.report.interactive)?;
-            tier_line(out, "batch", &p.report.batch)?;
-            if p.report.writes.offered > 0 {
-                tier_line(out, "writes", &p.report.writes)?;
-            }
-        }
-        match saturation {
-            Some(r) => writeln!(out, "saturation detected at {r:.0} req/s offered")?,
-            None => writeln!(
-                out,
-                "no saturation up to {:.0} req/s",
-                rates[rates.len() - 1]
-            )?,
-        }
-    } else {
-        let report = run_open_loop_mixed(&engine, "g", &queries, &writes, &config);
-        writeln!(
-            out,
-            "open loop: {requests} arrivals at {rate:.0} req/s on {devices} devices \
-             ({:.0} req/s achieved, wall {} ms, saturated {})",
-            report.achieved_rate,
-            report.wall_ms,
-            if report.saturated() { "yes" } else { "no" }
-        )?;
-        tier_line(out, "interactive", &report.interactive)?;
-        tier_line(out, "batch", &report.batch)?;
-        if report.writes.offered > 0 {
-            tier_line(out, "writes", &report.writes)?;
-        }
-    }
-    engine.shutdown();
-    Ok(())
-}
-
 fn cmd_recover(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use spbla_engine::{Engine, EngineConfig, Query, QueryResult};
 
@@ -1134,30 +983,6 @@ mod tests {
             assert!(out.contains("pairs"), "{out}");
         }
         std::fs::remove_file(&gpath).ok();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_open_loop_reports_both_tiers() {
-        let path = temp_graph();
-        let out = run_str(&[
-            "load",
-            path.to_str().unwrap(),
-            "--rate",
-            "2000",
-            "--requests",
-            "30",
-            "--devices",
-            "1",
-            "--queue",
-            "4",
-            "--interactive-fraction",
-            "0.5",
-        ])
-        .unwrap();
-        assert!(out.contains("open loop"), "{out}");
-        assert!(out.contains("interactive"), "{out}");
-        assert!(out.contains("batch"), "{out}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,9 +1,8 @@
 //! Durability and replication for the SPbLA serving engine.
 //!
-//! Three cooperating subsystems, all downstream of the same insight:
+//! Two cooperating subsystems, both downstream of the same insight:
 //! a serving engine over Boolean linear algebra is only a *system*
-//! once it survives restarts, scales reads, and is measured under
-//! honest load.
+//! once it survives restarts and scales reads.
 //!
 //! * **Write-ahead durability** ([`wal`], [`checkpoint`], [`store`]):
 //!   every applied [`UpdateBatch`] is flushed to a segmented,
@@ -18,28 +17,17 @@
 //!   replica whose applied version covers the pin, skipping laggards;
 //!   update fan-out is metered through the `Comm` layer like every
 //!   other cross-device transfer.
-//! * **Open-loop load** ([`load`]): seeded Poisson arrivals submitted
-//!   on schedule whether or not earlier requests finished — rejections
-//!   are counted, never waited on — so the reported p50/p95/p99 and
-//!   saturation point are free of coordinated omission. Two QoS tiers
-//!   ([`QosTier`]) exercise the engine's tiered admission.
 //!
 //! [`UpdateBatch`]: spbla_stream::UpdateBatch
-//! [`QosTier`]: spbla_engine::QosTier
 
 pub mod checkpoint;
 pub mod error;
-pub mod load;
 pub mod replica;
 pub mod store;
 pub mod wal;
 
 pub use checkpoint::{list_checkpoints, read_checkpoint, write_checkpoint, Checkpoint};
 pub use error::{DurableError, Result};
-pub use load::{
-    arrival_schedule, arrival_schedule_mixed, run_open_loop, run_open_loop_mixed, saturation_sweep,
-    write_query_templates, Arrival, LoadConfig, LoadReport, SweepPoint, TierStats,
-};
 pub use replica::{RejoinStats, ReplicaSet, RoutedRead};
 pub use store::{
     recover, recover_into_engine, DurabilityConfig, DurableLog, EngineRecovery, Recovered,

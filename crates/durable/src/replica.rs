@@ -655,6 +655,15 @@ mod tests {
         assert!(reads.windows(2).all(|w| w[0].checksum == w[1].checksum));
         assert!(reads.windows(2).all(|w| w[0].version == w[1].version));
         assert_eq!(set.version(), 4);
+        // Routed reads rotate over every replica.
+        let mut served = [0usize; 3];
+        for _ in 0..12 {
+            served[set.read_closure(4).unwrap().replica] += 1;
+        }
+        assert!(
+            served.iter().all(|&c| c > 0),
+            "a replica starved: {served:?}"
+        );
     }
 
     #[test]

@@ -156,29 +156,81 @@ fn rpq_checksums_match_flat() {
     }
 }
 
-/// Blocked CSR storage on a real LUBM adjacency answers the closure
+/// The delta closure loop of `closure_delta`, returning the closure
+/// and its peak working set: accumulator plus delta, sampled after
+/// every fixpoint round.
+fn closure_with_peak(inst: &Instance, n: u32, pairs: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
+    let mut closure = Matrix::from_pairs(inst, n, n, pairs).unwrap();
+    let mut delta = closure.duplicate().unwrap();
+    let mut peak = closure.memory_bytes() + delta.memory_bytes();
+    loop {
+        let step = closure.mxm_accum_compmask(&closure, &delta, true).unwrap();
+        if step.fresh_nnz == 0 {
+            break;
+        }
+        closure = step.acc;
+        delta = step.fresh.expect("fresh requested");
+        peak = peak.max(closure.memory_bytes() + delta.memory_bytes());
+    }
+    (closure.read(), peak)
+}
+
+/// Blocked storage on a real LUBM adjacency answers the closure
 /// bit-identically to a flat instance on the same backend: tiling is a
-/// layout decision, never a semantic one.
+/// layout decision, never a semantic one. It also holds the closure in
+/// at least 2x fewer peak bytes than flat CSR, and a catalog budget
+/// keeps at least 1.5x more graphs resident.
 #[test]
 fn blocked_closure_matches_flat_on_lubm() {
     use spbla_data::lubm::{lubm_like, LubmConfig};
+    use spbla_engine::Catalog;
 
     let mut table = SymbolTable::new();
     // Scale 4: enough universities that the adjacency spans many
-    // 64-row tile rows.
-    let graph = lubm_like(4, &LubmConfig::default(), &mut table, 0xCAFE);
+    // 64-row tile rows. A citation thread through the tail of the
+    // vertex range densifies round over round, which the shallow
+    // ontology hierarchy alone never does.
+    const CHAIN: u32 = 192;
+    let mut graph = lubm_like(4, &LubmConfig::default(), &mut table, 0xCAFE);
     let n = graph.n_vertices();
+    let cites = table.intern("cites");
+    for v in n - CHAIN..n - 1 {
+        graph.add_edge(v, cites, v + 1);
+    }
     let pairs = graph.adjacency_csr().to_pairs();
 
     let flat = Instance::cuda_sim();
     let blocked = Instance::blocked(spbla_core::Backend::CudaSim);
-    let cf = closure_delta(&Matrix::from_pairs(&flat, n, n, &pairs).unwrap())
-        .unwrap()
-        .read();
-    let cb = closure_delta(&Matrix::from_pairs(&blocked, n, n, &pairs).unwrap())
-        .unwrap()
-        .read();
+    let (cf, flat_peak) = closure_with_peak(&flat, n, &pairs);
+    let (cb, blocked_peak) = closure_with_peak(&blocked, n, &pairs);
     assert_eq!(fnv(&cf), fnv(&cb), "blocked storage diverged");
+    assert!(
+        blocked_peak * 2 <= flat_peak,
+        "blocked peak {blocked_peak} B vs flat CSR {flat_peak} B: need >= 2x below"
+    );
+
+    // Same budget, same LRU policy, same touch order: only the storage
+    // beneath `Matrix::from_csr` differs.
+    const GRAPHS: usize = 12;
+    let probe = Catalog::new(1, usize::MAX);
+    probe.add("probe", graph.clone());
+    let flat_bytes = probe.resident("probe", 0, &flat).unwrap().bytes;
+    let budget = flat_bytes * 4 + flat_bytes / 2;
+    let resident = |inst: &Instance| {
+        let catalog = Catalog::new(1, budget);
+        for i in 0..GRAPHS {
+            catalog.add(&format!("g{i}"), graph.clone());
+        }
+        for i in 0..GRAPHS {
+            catalog.resident(&format!("g{i}"), 0, inst).unwrap();
+        }
+        catalog.resident_count(0)
+    };
+    let (flat_resident, blocked_resident) = (resident(&flat), resident(&blocked));
+    assert!(
+        blocked_resident * 2 >= flat_resident * 3,
+        "blocked keeps {blocked_resident} graphs vs flat {flat_resident}: need >= 1.5x"
+    );
 }
 
 /// A densifying closure must actually exercise the re-choosing path:

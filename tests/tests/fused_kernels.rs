@@ -157,3 +157,41 @@ fn frontier_direction_counters_advance() {
     assert!(read("spbla_frontier_push_total") > push0);
     assert!(read("spbla_frontier_pull_total") > pull0);
 }
+
+/// On a LUBM adjacency the fused delta closure launches at least 25 %
+/// fewer kernels than the unfused loop it replaces — a standalone
+/// complement-masked product, a separate union and an nnz probe per
+/// round — and answers identically.
+#[test]
+fn fused_closure_launches_a_quarter_fewer_kernels_on_lubm() {
+    use spbla_data::lubm::{lubm_like, LubmConfig};
+
+    let mut table = spbla_lang::SymbolTable::new();
+    let graph = lubm_like(2, &LubmConfig::default(), &mut table, 0xCAFE);
+    let n = graph.n_vertices();
+    let inst = Instance::cuda_sim();
+    let device = inst.device().expect("cuda-sim has a device");
+    let m = Matrix::from_pairs(&inst, n, n, &graph.adjacency_csr().to_pairs()).unwrap();
+
+    let s0 = device.stats().launches;
+    let mut unfused = m.duplicate().unwrap();
+    let mut delta = m.duplicate().unwrap();
+    loop {
+        let fresh = unfused.mxm_compmask(&delta, &unfused).unwrap();
+        if fresh.nnz() == 0 {
+            break;
+        }
+        unfused = unfused.ewise_add(&fresh).unwrap();
+        delta = fresh;
+    }
+    let s1 = device.stats().launches;
+    let fused = m.transitive_closure().unwrap();
+    let s2 = device.stats().launches;
+
+    assert_eq!(fused.read(), unfused.read());
+    let (unfused_launches, fused_launches) = (s1 - s0, s2 - s1);
+    assert!(
+        fused_launches * 4 <= unfused_launches * 3,
+        "fused {fused_launches} launches vs unfused {unfused_launches}: need >= 25% fewer"
+    );
+}

@@ -335,4 +335,78 @@ fn lubm_stream_matches_recompute_at_every_version() {
             );
         }
     }
+
+    // Single-edge inserts on the default LUBM plus a 60-deep citation
+    // thread: recompute re-derives the thread's closure at every
+    // version, incremental maintenance touches only each batch's
+    // frontier, so it pays at most a third of recompute's launches
+    // and accumulator insertions.
+    const CHAIN: u32 = 60;
+    let mut table = SymbolTable::new();
+    let mut graph = lubm_like(1, &LubmConfig::default(), &mut table, 0xCAFE);
+    let cites = table.intern("cites");
+    let n = graph.n_vertices();
+    for v in n - CHAIN..n - 1 {
+        graph.add_edge(v, cites, v + 1);
+    }
+    let labels: Vec<Symbol> = graph.labels().into_iter().filter(|&l| l != cites).collect();
+    // Instance-level endpoints only: the 16 ontology classes come
+    // first. A xorshift stream, so the fixture is fixed by its seed.
+    let mut state: u64 = 0xE13 | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut mirror = graph.clone();
+    let mut inserts = Vec::new();
+    while inserts.len() < 24 {
+        let label = labels[(next() % labels.len() as u64) as usize];
+        let u = (16 + next() % (u64::from(n) - 16)) as u32;
+        let v = (16 + next() % (u64::from(n) - 16)) as u32;
+        if u != v && !mirror.edges_of(label).contains(&(u, v)) {
+            let mut batch = UpdateBatch::new();
+            batch.insert(u, label, v);
+            batch.apply_to(&mut mirror);
+            inserts.push(batch);
+        }
+    }
+    for devices in [1, 2] {
+        let run = |mode| {
+            let grid = DeviceGrid::new(devices);
+            let mut stream = GraphStream::new(&grid, &graph).expect("store builds");
+            let config = MaintainConfig {
+                mode,
+                ..MaintainConfig::default()
+            };
+            stream.track_closure(config).expect("closure view builds");
+            let before = grid.total_stats();
+            let checksums: Vec<u64> = inserts
+                .iter()
+                .map(|batch| {
+                    stream.apply(batch.clone()).expect("batch applies");
+                    stream.closure_view().expect("tracked").checksum()
+                })
+                .collect();
+            let after = grid.total_stats();
+            let launches = after.launches - before.launches;
+            (
+                checksums,
+                launches,
+                after.accum_insertions - before.accum_insertions,
+            )
+        };
+        let (inc, inc_launches, inc_insertions) = run(MaintainMode::Incremental);
+        let (rec, rec_launches, rec_insertions) = run(MaintainMode::Recompute);
+        assert_eq!(inc, rec, "insert stream diverged ({devices} devices)");
+        assert!(
+            inc_launches * 3 <= rec_launches,
+            "{inc_launches} incremental vs {rec_launches} recompute launches ({devices} devices)"
+        );
+        assert!(
+            inc_insertions * 3 <= rec_insertions,
+            "{inc_insertions} incremental vs {rec_insertions} recompute insertions ({devices} devices)"
+        );
+    }
 }
